@@ -1,0 +1,329 @@
+"""Hearts, simple tilts, and exchange graphs.
+
+A heart is recorded by its simple objects: pairs (catalog index, shift)
+meaning the catalog module placed in homological degree -shift.  Tilting at
+a simple S moves S one step (up for forward, down for backward) and rewrites
+every other simple through extensions with S or Hom spaces to S, depending
+on the shift gap.
+
+The interval exchange graph collects the hearts whose simples all sit at
+shifts 0 or 1; it is finite for Dynkin quivers and every edge is a forward
+tilt at a shift-0 simple.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import InputError, InternalError
+from .quiver import Automorphism
+from .reps import (
+    Catalog,
+    Representation,
+    cokernel_module,
+    ext1_dim,
+    hom_dim,
+    kernel_module,
+    stack_hom_horizontal,
+    stack_hom_vertical,
+    universal_coextension,
+    universal_extension,
+)
+
+Simple = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Heart:
+    simples: tuple[Simple, ...]
+
+    def __post_init__(self):
+        if tuple(sorted(self.simples)) != self.simples:
+            raise InternalError("heart simples not in canonical order")
+
+    @property
+    def shifts(self) -> tuple[int, ...]:
+        return tuple(s for _, s in self.simples)
+
+    def position_of(self, simple: Simple) -> int:
+        return self.simples.index(simple)
+
+
+def make_heart(simples) -> Heart:
+    return Heart(tuple(sorted(simples)))
+
+
+def seed_heart(catalog: Catalog) -> Heart:
+    return make_heart((catalog.simple_index(v), 0) for v in catalog.quiver.vertices)
+
+
+def k_class(catalog: Catalog, simple: Simple) -> tuple[int, ...]:
+    idx, shift = simple
+    sign = -1 if shift % 2 else 1
+    return tuple(sign * c for c in catalog.reps[idx].dims)
+
+
+def heart_k_matrix(catalog: Catalog, heart: Heart) -> tuple[tuple[int, ...], ...]:
+    return tuple(k_class(catalog, s) for s in heart.simples)
+
+
+def simple_label(catalog: Catalog, simple: Simple) -> str:
+    idx, shift = simple
+    base = catalog.labels[idx]
+    return base if shift == 0 else f"{base}^{shift}"
+
+
+def heart_label(catalog: Catalog, heart: Heart) -> str:
+    return "{" + ", ".join(simple_label(catalog, s) for s in heart.simples) + "}"
+
+
+def _single_summand(catalog: Catalog, r: Representation, context: str) -> int:
+    parts = catalog.identify(r)
+    if len(parts) != 1:
+        raise InternalError(f"{context} is not indecomposable: {parts}")
+    return parts[0]
+
+
+def tilt_forward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
+    """Forward tilt at the simple in position pos (it moves up one shift)."""
+    s_idx, s_shift = heart.simples[pos]
+    ms = catalog.reps[s_idx]
+    out: list[Simple] = [(s_idx, s_shift + 1)]
+    for i, (x_idx, x_shift) in enumerate(heart.simples):
+        if i == pos:
+            continue
+        mx = catalog.reps[x_idx]
+        gap = s_shift + 1 - x_shift
+        if gap == 1:
+            u = universal_extension(mx, ms)
+            out.append((_single_summand(catalog, u, "universal extension"), x_shift))
+        elif gap == 0:
+            if hom_dim(mx, ms) == 0:
+                out.append((x_idx, x_shift))
+            else:
+                target, phi = stack_hom_vertical(mx, ms)
+                ker = kernel_module(phi, mx)
+                cok = cokernel_module(phi, mx, target)
+                if ker.is_zero() == cok.is_zero():
+                    raise InternalError("tilt did not produce a single-degree simple")
+                if cok.is_zero():
+                    out.append((_single_summand(catalog, ker, "tilt kernel"), s_shift + 1))
+                else:
+                    out.append((_single_summand(catalog, cok, "tilt cokernel"), s_shift))
+        else:
+            out.append((x_idx, x_shift))
+    return make_heart(out)
+
+
+def tilt_backward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
+    """Backward tilt at the simple in position pos (it moves down one shift)."""
+    s_idx, s_shift = heart.simples[pos]
+    ms = catalog.reps[s_idx]
+    out: list[Simple] = [(s_idx, s_shift - 1)]
+    for i, (x_idx, x_shift) in enumerate(heart.simples):
+        if i == pos:
+            continue
+        mx = catalog.reps[x_idx]
+        gap = x_shift + 1 - s_shift
+        if gap == 1:
+            e = universal_coextension(mx, ms)
+            out.append((_single_summand(catalog, e, "universal coextension"), x_shift))
+        elif gap == 0:
+            if hom_dim(ms, mx) == 0:
+                out.append((x_idx, x_shift))
+            else:
+                source, phi = stack_hom_horizontal(ms, mx)
+                ker = kernel_module(phi, source)
+                cok = cokernel_module(phi, source, mx)
+                if ker.is_zero() == cok.is_zero():
+                    raise InternalError("tilt did not produce a single-degree simple")
+                if ker.is_zero():
+                    out.append((_single_summand(catalog, cok, "tilt cokernel"), x_shift))
+                else:
+                    out.append((_single_summand(catalog, ker, "tilt kernel"), x_shift + 1))
+        else:
+            out.append((x_idx, x_shift))
+    return make_heart(out)
+
+
+def validate_heart(catalog: Catalog, heart: Heart) -> None:
+    """Simple-mindedness: ordered Hom/Ext vanishing plus a unimodular K-basis."""
+    from .linalg import smith_normal_form
+
+    n = len(catalog.quiver.vertices)
+    if len(heart.simples) != n:
+        raise InputError("heart has the wrong number of simples")
+    if len(set(heart.simples)) != n:
+        raise InputError("heart repeats a simple")
+    for xi, (x_idx, x_shift) in enumerate(heart.simples):
+        for yi, (y_idx, y_shift) in enumerate(heart.simples):
+            if xi == yi:
+                continue
+            gap = y_shift - x_shift
+            mx, my = catalog.reps[x_idx], catalog.reps[y_idx]
+            if gap >= 0 and hom_dim(mx, my) != 0:
+                raise InputError("heart violates Hom vanishing")
+            if gap >= 1 and ext1_dim(mx, my) != 0:
+                raise InputError("heart violates Ext vanishing")
+    _, d, _ = smith_normal_form(heart_k_matrix(catalog, heart))
+    if any(d[i][i] != 1 for i in range(n)):
+        raise InputError("heart classes are not a lattice basis")
+
+
+@dataclass(frozen=True)
+class ExchangeGraph:
+    hearts: tuple[Heart, ...]
+    edges: tuple[tuple[int, int, int], ...]  # (source id, simple position, target id)
+
+    def heart_id(self, heart: Heart) -> int:
+        return self.hearts.index(heart)
+
+
+def build_interval_eg(catalog: Catalog) -> ExchangeGraph:
+    """Breadth-first enumeration of the shift-{0,1} hearts from the seed."""
+    seed = seed_heart(catalog)
+    ids = {seed: 0}
+    hearts = [seed]
+    edges = []
+    queue = [0]
+    while queue:
+        hid = queue.pop(0)
+        heart = hearts[hid]
+        for pos, (_, shift) in enumerate(heart.simples):
+            if shift != 0:
+                continue
+            new = tilt_forward(catalog, heart, pos)
+            if new not in ids:
+                ids[new] = len(hearts)
+                hearts.append(new)
+                queue.append(ids[new])
+            edges.append((hid, pos, ids[new]))
+    return ExchangeGraph(tuple(hearts), tuple(edges))
+
+
+def transport_heart(perm: tuple[int, ...], heart: Heart) -> Heart:
+    return make_heart((perm[idx], shift) for idx, shift in heart.simples)
+
+
+def is_f_stable(perm: tuple[int, ...], heart: Heart) -> bool:
+    return transport_heart(perm, heart) == heart
+
+
+def f_orbits_of_heart(perm: tuple[int, ...], heart: Heart) -> tuple[tuple[int, ...], ...]:
+    """Positions of the simples grouped into transport orbits."""
+    if not is_f_stable(perm, heart):
+        raise InputError("heart is not stable under the automorphism")
+    pos_of = {s: i for i, s in enumerate(heart.simples)}
+    seen: set[int] = set()
+    orbits = []
+    for start in range(len(heart.simples)):
+        if start in seen:
+            continue
+        orbit = []
+        p = start
+        while p not in seen:
+            seen.add(p)
+            orbit.append(p)
+            idx, shift = heart.simples[p]
+            p = pos_of[(perm[idx], shift)]
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def multi_tilt(catalog: Catalog, heart: Heart, positions: tuple[int, ...]) -> Heart:
+    """Tilt forward at several simples at once.
+
+    Requires the selected simples to be pairwise non-interacting (Hom and Ext
+    vanish in both directions), which makes the individual tilts commute.
+    """
+    chosen = [heart.simples[p] for p in positions]
+    if len(set(chosen)) != len(chosen):
+        raise InputError("duplicate tilt position")
+    for i, (xi, _) in enumerate(chosen):
+        for j, (yj, _) in enumerate(chosen):
+            if i == j:
+                continue
+            mx, my = catalog.reps[xi], catalog.reps[yj]
+            if hom_dim(mx, my) or ext1_dim(mx, my):
+                raise InputError("selected simples interact; multi-tilt undefined")
+    current = heart
+    for simple in chosen:
+        current = tilt_forward(catalog, current, current.position_of(simple))
+    return current
+
+
+def orbit_tilt(catalog: Catalog, perm: tuple[int, ...], heart: Heart, orbit: tuple[int, ...]) -> Heart:
+    """Forward tilt at a full transport orbit of simples."""
+    orbits = f_orbits_of_heart(perm, heart)
+    if orbit not in orbits:
+        raise InputError("not a transport orbit of this heart")
+    new = multi_tilt(catalog, heart, orbit)
+    if not is_f_stable(perm, new):
+        raise InternalError("orbit tilt left the stable locus")
+    return new
+
+
+@dataclass(frozen=True)
+class FoldedEG:
+    hearts: tuple[Heart, ...]
+    # (source id, positions of the tilted orbit in the source heart, target id)
+    edges: tuple[tuple[int, tuple[int, ...], int], ...]
+
+
+def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> FoldedEG:
+    """Exchange graph of stable hearts under orbit tilts at shift-0 orbits."""
+    seed = seed_heart(catalog)
+    if not is_f_stable(perm, seed):
+        raise InternalError("seed heart is not stable")
+    ids = {seed: 0}
+    hearts = [seed]
+    edges = []
+    queue = [0]
+    while queue:
+        hid = queue.pop(0)
+        heart = hearts[hid]
+        for orbit in f_orbits_of_heart(perm, heart):
+            if any(heart.simples[p][1] != 0 for p in orbit):
+                continue
+            new = orbit_tilt(catalog, perm, heart, orbit)
+            if new not in ids:
+                ids[new] = len(hearts)
+                hearts.append(new)
+                queue.append(ids[new])
+            edges.append((hid, orbit, ids[new]))
+    return FoldedEG(tuple(hearts), tuple(edges))
+
+
+@dataclass(frozen=True)
+class OrbitExtPattern:
+    source_size: int
+    target_size: int
+    period: int
+    counts: tuple[int, ...]
+    total: int
+
+
+def orbit_ext_pattern(
+    catalog: Catalog,
+    perm: tuple[int, ...],
+    heart: Heart,
+    source_orbit: tuple[int, ...],
+    target_orbit: tuple[int, ...],
+) -> OrbitExtPattern:
+    """Extension counts from an orbit base point into the transported targets.
+
+    The base points are the least simples of each orbit; counts[k] is
+    dim Ext^1 from the source base into the k-th transport of the target
+    base.  The sequence is periodic with period lcm of the orbit sizes.
+    """
+    x_idx, _ = min(heart.simples[p] for p in source_orbit)
+    y_idx, _ = min(heart.simples[p] for p in target_orbit)
+    s, t = len(source_orbit), len(target_orbit)
+    d = math.lcm(s, t)
+    counts = []
+    y = y_idx
+    for _ in range(d):
+        counts.append(ext1_dim(catalog.reps[x_idx], catalog.reps[y]))
+        y = perm[y]
+    return OrbitExtPattern(s, t, d, tuple(counts), sum(counts))

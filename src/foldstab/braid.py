@@ -231,11 +231,11 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
     """Parse letters like '1 2 1^-1' into 0-based (slot, exponent) pairs."""
     out = []
     for tok in text.replace(",", " ").split():
-        if "^" in tok:
-            base, _, e = tok.partition("^")
-            slot, exp = int(base), int(e)
-        else:
-            slot, exp = int(tok), 1
+        base, caret, e = tok.partition("^")
+        try:
+            slot, exp = int(base), (int(e) if caret else 1)
+        except ValueError:
+            raise InputError(f"bad braid letter {tok!r}") from None
         if slot < 1:
             raise InputError("generators are numbered from 1")
         sign = 1 if exp > 0 else -1

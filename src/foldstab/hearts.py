@@ -4,7 +4,10 @@ A heart is recorded by its simple objects: pairs (catalog index, shift)
 meaning the catalog module placed in homological degree -shift.  Tilting at
 a simple S moves S one step (up for forward, down for backward) and rewrites
 every other simple through extensions with S or Hom spaces to S, depending
-on the shift gap.
+on the shift gap.  Each rewritten simple is indecomposable, so its class
+names it: [X] + ext*[S] for a universal extension, and +-(hom*[S] - [X]) for
+the kernel or cokernel of the map between X and S^hom.  A tilt is therefore
+class arithmetic plus one root lookup.
 
 The interval exchange graph collects the hearts whose simples all sit at
 shifts 0 or 1; it is finite for Dynkin quivers and every edge is a forward
@@ -18,18 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .quiver import Automorphism
-from .reps import (
-    Catalog,
-    Representation,
-    cokernel_module,
-    ext1_dim,
-    hom_dim,
-    kernel_module,
-    stack_hom_horizontal,
-    stack_hom_vertical,
-    universal_coextension,
-    universal_extension,
-)
+from .reps import Catalog
 
 Simple = tuple[int, int]
 
@@ -61,7 +53,7 @@ def seed_heart(catalog: Catalog) -> Heart:
 def k_class(catalog: Catalog, simple: Simple) -> tuple[int, ...]:
     idx, shift = simple
     sign = -1 if shift % 2 else 1
-    return tuple(sign * c for c in catalog.reps[idx].dims)
+    return tuple(sign * c for c in catalog.roots[idx])
 
 
 def heart_k_matrix(catalog: Catalog, heart: Heart) -> tuple[tuple[int, ...], ...]:
@@ -78,39 +70,49 @@ def heart_label(catalog: Catalog, heart: Heart) -> str:
     return "{" + ", ".join(simple_label(catalog, s) for s in heart.simples) + "}"
 
 
-def _single_summand(catalog: Catalog, r: Representation, context: str) -> int:
-    parts = catalog.identify(r)
-    if len(parts) != 1:
-        raise InternalError(f"{context} is not indecomposable: {parts}")
-    return parts[0]
+def _root_index(catalog: Catalog, dims: tuple[int, ...], context: str) -> int:
+    idx = catalog.by_dims.get(dims)
+    if idx is None:
+        raise InternalError(f"{context} class {dims} is not a positive root")
+    return idx
+
+
+def _plus(catalog: Catalog, x_idx: int, d: int, s_idx: int) -> int:
+    """The extension of X by S^d: class [X] + d[S]."""
+    if not d:
+        return x_idx
+    x, s = catalog.roots[x_idx], catalog.roots[s_idx]
+    return _root_index(catalog, tuple(a + d * b for a, b in zip(x, s)), "extension")
+
+
+def _minus(catalog: Catalog, x_idx: int, d: int, s_idx: int) -> tuple[int, bool]:
+    """The root of d[S] - [X] up to sign, and whether that class is positive.
+
+    A positive class is the cokernel of X -> S^d in a forward tilt and the
+    kernel of S^d -> X in a backward one; a negative class is the other side.
+    """
+    if not d:
+        return x_idx, False
+    x, s = catalog.roots[x_idx], catalog.roots[s_idx]
+    v = tuple(d * b - a for a, b in zip(x, s))
+    if all(c >= 0 for c in v):
+        return _root_index(catalog, v, "tilt"), True
+    return _root_index(catalog, tuple(-c for c in v), "tilt"), False
 
 
 def tilt_forward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
     """Forward tilt at the simple in position pos (it moves up one shift)."""
     s_idx, s_shift = heart.simples[pos]
-    ms = catalog.reps[s_idx]
     out: list[Simple] = [(s_idx, s_shift + 1)]
     for i, (x_idx, x_shift) in enumerate(heart.simples):
         if i == pos:
             continue
-        mx = catalog.reps[x_idx]
         gap = s_shift + 1 - x_shift
         if gap == 1:
-            u = universal_extension(mx, ms)
-            out.append((_single_summand(catalog, u, "universal extension"), x_shift))
+            out.append((_plus(catalog, x_idx, catalog.ext_table[x_idx][s_idx], s_idx), x_shift))
         elif gap == 0:
-            if hom_dim(mx, ms) == 0:
-                out.append((x_idx, x_shift))
-            else:
-                target, phi = stack_hom_vertical(mx, ms)
-                ker = kernel_module(phi, mx)
-                cok = cokernel_module(phi, mx, target)
-                if ker.is_zero() == cok.is_zero():
-                    raise InternalError("tilt did not produce a single-degree simple")
-                if cok.is_zero():
-                    out.append((_single_summand(catalog, ker, "tilt kernel"), s_shift + 1))
-                else:
-                    out.append((_single_summand(catalog, cok, "tilt cokernel"), s_shift))
+            idx, coker = _minus(catalog, x_idx, catalog.hom_table[x_idx][s_idx], s_idx)
+            out.append((idx, s_shift if coker else x_shift))
         else:
             out.append((x_idx, x_shift))
     return make_heart(out)
@@ -119,29 +121,16 @@ def tilt_forward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
 def tilt_backward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
     """Backward tilt at the simple in position pos (it moves down one shift)."""
     s_idx, s_shift = heart.simples[pos]
-    ms = catalog.reps[s_idx]
     out: list[Simple] = [(s_idx, s_shift - 1)]
     for i, (x_idx, x_shift) in enumerate(heart.simples):
         if i == pos:
             continue
-        mx = catalog.reps[x_idx]
         gap = x_shift + 1 - s_shift
         if gap == 1:
-            e = universal_coextension(mx, ms)
-            out.append((_single_summand(catalog, e, "universal coextension"), x_shift))
+            out.append((_plus(catalog, x_idx, catalog.ext_table[s_idx][x_idx], s_idx), x_shift))
         elif gap == 0:
-            if hom_dim(ms, mx) == 0:
-                out.append((x_idx, x_shift))
-            else:
-                source, phi = stack_hom_horizontal(ms, mx)
-                ker = kernel_module(phi, source)
-                cok = cokernel_module(phi, source, mx)
-                if ker.is_zero() == cok.is_zero():
-                    raise InternalError("tilt did not produce a single-degree simple")
-                if ker.is_zero():
-                    out.append((_single_summand(catalog, cok, "tilt cokernel"), x_shift))
-                else:
-                    out.append((_single_summand(catalog, ker, "tilt kernel"), x_shift + 1))
+            idx, ker = _minus(catalog, x_idx, catalog.hom_table[s_idx][x_idx], s_idx)
+            out.append((idx, x_shift + 1 if ker else x_shift))
         else:
             out.append((x_idx, x_shift))
     return make_heart(out)
@@ -161,10 +150,9 @@ def validate_heart(catalog: Catalog, heart: Heart) -> None:
             if xi == yi:
                 continue
             gap = y_shift - x_shift
-            mx, my = catalog.reps[x_idx], catalog.reps[y_idx]
-            if gap >= 0 and hom_dim(mx, my) != 0:
+            if gap >= 0 and catalog.hom_table[x_idx][y_idx] != 0:
                 raise InputError("heart violates Hom vanishing")
-            if gap >= 1 and ext1_dim(mx, my) != 0:
+            if gap >= 1 and catalog.ext_table[x_idx][y_idx] != 0:
                 raise InputError("heart violates Ext vanishing")
     _, d, _ = smith_normal_form(heart_k_matrix(catalog, heart))
     if any(d[i][i] != 1 for i in range(n)):
@@ -244,8 +232,7 @@ def multi_tilt(catalog: Catalog, heart: Heart, positions: tuple[int, ...]) -> He
         for j, (yj, _) in enumerate(chosen):
             if i == j:
                 continue
-            mx, my = catalog.reps[xi], catalog.reps[yj]
-            if hom_dim(mx, my) or ext1_dim(mx, my):
+            if catalog.hom_table[xi][yj] or catalog.ext_table[xi][yj]:
                 raise InputError("selected simples interact; multi-tilt undefined")
     current = heart
     for simple in chosen:
@@ -324,6 +311,6 @@ def orbit_ext_pattern(
     counts = []
     y = y_idx
     for _ in range(d):
-        counts.append(ext1_dim(catalog.reps[x_idx], catalog.reps[y]))
+        counts.append(catalog.ext_table[x_idx][y])
         y = perm[y]
     return OrbitExtPattern(s, t, d, tuple(counts), sum(counts))

@@ -2,8 +2,11 @@
 
 Each oracle recomputes a result from a different definition than the
 implementation: positive roots from the Tits form instead of reflections,
-interval hearts by exhaustive filtering instead of breadth-first tilting,
-and the folded exchange graph by trying every tilt order by hand.
+simple tilts by building modules (universal extensions, kernels and
+cokernels of matrix maps) instead of class arithmetic, interval hearts by
+exhaustive filtering of Hom/Ext tables computed on matrices instead of
+breadth-first tilting, and the folded exchange graph by trying every tilt
+order by hand.
 """
 
 from __future__ import annotations
@@ -11,9 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from foldstab.hearts import Heart, make_heart, seed_heart, tilt_forward
+from foldstab.errors import InternalError
+from foldstab.hearts import Heart, make_heart, seed_heart
 from foldstab.quiver import Quiver
-from foldstab.reps import Catalog
+from foldstab.reps import (
+    Catalog,
+    Representation,
+    cokernel_module,
+    ext1_dim,
+    hom_dim,
+    kernel_module,
+    stack_hom_horizontal,
+    stack_hom_vertical,
+    universal_coextension,
+    universal_extension,
+)
 
 Simple = tuple[int, int]
 
@@ -53,16 +68,96 @@ def _det(rows: tuple[tuple[int, ...], ...]) -> Fraction:
     return det
 
 
+Table = tuple[tuple[int, ...], ...]
+
+
+def module_tables(catalog: Catalog) -> tuple[Table, Table]:
+    """dim Hom and dim Ext^1 between the catalog's matrix bricks."""
+    reps = catalog.reps
+    hom = tuple(tuple(hom_dim(x, y) for y in reps) for x in reps)
+    ext = tuple(tuple(ext1_dim(x, y) for y in reps) for x in reps)
+    return hom, ext
+
+
+def _single_summand(catalog: Catalog, r: Representation, context: str) -> int:
+    parts = catalog.identify(r)
+    if len(parts) != 1:
+        raise InternalError(f"{context} is not indecomposable: {parts}")
+    return parts[0]
+
+
+def module_tilt_forward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
+    """Forward tilt at position pos, computed on modules and identified."""
+    s_idx, s_shift = heart.simples[pos]
+    ms = catalog.reps[s_idx]
+    out: list[Simple] = [(s_idx, s_shift + 1)]
+    for i, (x_idx, x_shift) in enumerate(heart.simples):
+        if i == pos:
+            continue
+        mx = catalog.reps[x_idx]
+        gap = s_shift + 1 - x_shift
+        if gap == 1:
+            u = universal_extension(mx, ms)
+            out.append((_single_summand(catalog, u, "universal extension"), x_shift))
+        elif gap == 0:
+            if hom_dim(mx, ms) == 0:
+                out.append((x_idx, x_shift))
+            else:
+                target, phi = stack_hom_vertical(mx, ms)
+                ker = kernel_module(phi, mx)
+                cok = cokernel_module(phi, mx, target)
+                if ker.is_zero() == cok.is_zero():
+                    raise InternalError("tilt did not produce a single-degree simple")
+                if cok.is_zero():
+                    out.append((_single_summand(catalog, ker, "tilt kernel"), s_shift + 1))
+                else:
+                    out.append((_single_summand(catalog, cok, "tilt cokernel"), s_shift))
+        else:
+            out.append((x_idx, x_shift))
+    return make_heart(out)
+
+
+def module_tilt_backward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
+    """Backward tilt at position pos, computed on modules and identified."""
+    s_idx, s_shift = heart.simples[pos]
+    ms = catalog.reps[s_idx]
+    out: list[Simple] = [(s_idx, s_shift - 1)]
+    for i, (x_idx, x_shift) in enumerate(heart.simples):
+        if i == pos:
+            continue
+        mx = catalog.reps[x_idx]
+        gap = x_shift + 1 - s_shift
+        if gap == 1:
+            e = universal_coextension(mx, ms)
+            out.append((_single_summand(catalog, e, "universal coextension"), x_shift))
+        elif gap == 0:
+            if hom_dim(ms, mx) == 0:
+                out.append((x_idx, x_shift))
+            else:
+                source, phi = stack_hom_horizontal(ms, mx)
+                ker = kernel_module(phi, source)
+                cok = cokernel_module(phi, source, mx)
+                if ker.is_zero() == cok.is_zero():
+                    raise InternalError("tilt did not produce a single-degree simple")
+                if ker.is_zero():
+                    out.append((_single_summand(catalog, cok, "tilt cokernel"), x_shift))
+                else:
+                    out.append((_single_summand(catalog, ker, "tilt kernel"), x_shift + 1))
+        else:
+            out.append((x_idx, x_shift))
+    return make_heart(out)
+
+
 def smc_hearts(catalog: Catalog) -> set[tuple[Simple, ...]]:
     """All shift-{0,1} hearts, found by filtering every candidate set.
 
     A candidate passes when each ordered pair of distinct simples satisfies
     the gap conditions (Hom vanishing for gap >= 0, Ext vanishing on top of
     that for gap >= 1) and the classes form a basis of the root lattice.
+    Hom and Ext come from the matrix bricks, not the catalog's tables.
     """
     n = len(catalog.quiver.vertices)
-    hom = catalog.hom_table
-    ext = catalog.ext_table
+    hom, ext = module_tables(catalog)
     candidates = [(i, s) for i in range(len(catalog.reps)) for s in (0, 1)]
 
     def admissible(chosen: tuple[Simple, ...]) -> bool:
@@ -119,7 +214,7 @@ def brute_force_folded_eg(catalog: Catalog, perm: tuple[int, ...]):
         for order in permutations(chosen):
             current = heart
             for simple in order:
-                current = tilt_forward(catalog, current, current.position_of(simple))
+                current = module_tilt_forward(catalog, current, current.position_of(simple))
             results.add(current)
         if len(results) != 1:
             raise AssertionError(f"orbit tilt is order dependent at {heart}")

@@ -59,7 +59,7 @@ def test_parse_word() -> None:
     assert parse_word("") == ()
     with pytest.raises(InputError, match="numbered from 1"):
         parse_word("0 1")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="bad braid letter 'x'"):
         parse_word("x")
 
 

@@ -187,6 +187,17 @@ def test_braid_check_errors(capsys) -> None:
     assert "out of range" in err
 
 
+def test_braid_check_bad_letter(capsys) -> None:
+    code, out, err = run_cli(capsys, "braid", A2, "--check", "1 2 = x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("foldstab: error:")
+    assert "'x'" in err
+    code, _, err = run_cli(capsys, "braid", A2, "--check", "1^a = 1")
+    assert code == 2
+    assert "'1^a'" in err
+
+
 def test_report_json(capsys) -> None:
     code, out, _ = run_cli(capsys, "report", A3)
     assert code == 0
@@ -253,6 +264,24 @@ def test_out_writes_file(capsys, tmp_path) -> None:
     assert out == ""
     _, direct, _ = run_cli(capsys, "fold", A3)
     assert target.read_text(encoding="utf-8") == direct
+
+
+def test_out_to_missing_directory(capsys, tmp_path) -> None:
+    target = tmp_path / "missing" / "fold.txt"
+    code, out, err = run_cli(capsys, "fold", A3, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"foldstab: error: cannot write {target}")
+    assert not target.parent.exists()
+
+
+def test_e6_exchange_graphs_count_w_catalan(capsys) -> None:
+    code, out, _ = run_cli(capsys, "eg", E6, "--format", "table")
+    assert code == 0
+    assert out.startswith("hearts: 833 (F-stable: 105)\n")
+    code, out, _ = run_cli(capsys, "eg", E6, "--fold", "--format", "table")
+    assert code == 0
+    assert out.startswith("hearts: 105 (F-stable: 105)\n")
 
 
 def test_inadmissible_automorphism(capsys, tmp_path) -> None:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from foldstab.errors import InputError
+from foldstab.errors import InputError, InternalError
 from foldstab.hearts import (
     Heart,
     build_folded_eg,
@@ -22,7 +22,16 @@ from foldstab.hearts import (
     validate_heart,
 )
 
-from oracles import brute_force_folded_eg, smc_hearts
+from foldstab.quiver import Quiver
+from foldstab.reps import Catalog
+
+from oracles import (
+    brute_force_folded_eg,
+    module_tables,
+    module_tilt_backward,
+    module_tilt_forward,
+    smc_hearts,
+)
 
 EXPECTED_HEARTS = [
     {"T1", "T2", "X3^1"},
@@ -139,6 +148,43 @@ def test_interval_eg_d4_matches_oracle(cat_d4) -> None:
 
 def test_interval_eg_a5_count(cat_a5) -> None:
     assert len(build_interval_eg(cat_a5).hearts) == 132
+
+
+def test_euler_tables_match_module_tables(cat_a3, cat_d4, cat_a5, cat_d5) -> None:
+    for catalog in (cat_a3, cat_d4, cat_a5, cat_d5):
+        assert (catalog.hom_table, catalog.ext_table) == module_tables(catalog)
+
+
+def test_class_tilts_match_module_tilts(cat_a3, cat_d4, cat_a5, cat_d5) -> None:
+    cases = 0
+    for catalog in (cat_a3, cat_d4, cat_a5, cat_d5):
+        for heart in build_interval_eg(catalog).hearts:
+            for pos in range(len(heart.simples)):
+                assert tilt_forward(catalog, heart, pos) == module_tilt_forward(catalog, heart, pos)
+                assert tilt_backward(catalog, heart, pos) == module_tilt_backward(catalog, heart, pos)
+                cases += 1
+    assert cases == 14 * 3 + 50 * 4 + 132 * 5 + 182 * 5
+
+
+def test_tilt_rejects_a_class_that_is_not_a_root(cat_a3) -> None:
+    # Not a heart: T1 sits at shifts 0 and 1.  Tilting at T1 rewrites its
+    # shifted copy to the class hom(T1, T1)[T1] - [T1] = 0, which names no
+    # indecomposable, and that must fail loudly.
+    bogus = make_heart([(0, 0), (0, 1), (5, 0)])
+    with pytest.raises(InternalError, match="not a positive root"):
+        tilt_forward(cat_a3, bogus, 0)
+
+
+def _quiver_with_branch(chain: int, branch_at: int) -> Quiver:
+    """Chain 1 -> 2 -> ... -> chain, plus vertex chain + 1 -> branch_at."""
+    arrows = [(f"a{i}", i, i + 1) for i in range(1, chain)]
+    arrows.append(("b", chain + 1, branch_at))
+    return Quiver.make(list(range(1, chain + 2)), arrows)
+
+
+def test_interval_eg_e7_e8_count_w_catalan() -> None:
+    assert len(build_interval_eg(Catalog(_quiver_with_branch(6, 3))).hearts) == 4160
+    assert len(build_interval_eg(Catalog(_quiver_with_branch(7, 3))).hearts) == 25080
 
 
 def test_all_a3_hearts_validate(cat_a3) -> None:

@@ -64,6 +64,19 @@ def test_catalog_entries_are_bricks(cat_a3, cat_d4) -> None:
             assert hom_dim(r, r) == 1
 
 
+def test_e6_catalog_bricks() -> None:
+    e6 = Quiver.make(
+        [1, 2, 3, 4, 5, 6],
+        [("a1", 1, 2), ("a2", 2, 3), ("a4", 4, 3), ("a5", 5, 4), ("a6", 6, 3)],
+    )
+    cat = Catalog(e6)
+    assert len(cat.reps) == 36
+    assert [r.dims for r in cat.reps] == list(cat.roots)
+    assert (1, 2, 3, 2, 1, 1) in cat.by_dims
+    for r in cat.reps:
+        assert hom_dim(r, r) == 1
+
+
 def test_hom_ext_pins_a3(cat_a3) -> None:
     t1 = cat_a3.reps[cat_a3.simple_index(1)]
     t2 = cat_a3.reps[cat_a3.simple_index(2)]

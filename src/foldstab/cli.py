@@ -1,13 +1,16 @@
 """Command line driver.
 
     foldstab <command> <specfile> [--fold] [--format dot|json|table]
-             [--out PATH] [--jobs N] [--check "WORD = WORD"]
+             [--out PATH] [--check "WORD = WORD"]
 
 Commands: fold (orbit table of the folded quiver), eg (exchange graph),
 classify (stability cells per heart), braid (folded relation verification),
-report (aggregate of all four).  Output is deterministic: identical inputs
-give byte-identical bytes.  Exit codes: 0 success, 2 input error,
-3 unsupported quiver type, 4 internal invariant failure.
+report (aggregate of all four).  Each command builds one JSON-shaped payload
+from a cached ``Analysis`` and renders it as table, dot or JSON; ``report``
+is the four payloads, so it computes each artefact once.  Output is
+deterministic: identical inputs give byte-identical bytes.  Exit codes:
+0 success, 2 input error, 3 unsupported quiver type, 4 internal invariant
+failure.
 """
 
 from __future__ import annotations
@@ -16,20 +19,23 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
 from .cells import classify_cell, fold_charge, numerical_constraints, verify_classification
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .hearts import (
+    ExchangeGraph,
+    FoldedEG,
     build_folded_eg,
     build_interval_eg,
+    heart_k_matrix,
     heart_label,
     is_f_stable,
-    seed_heart,
     simple_label,
 )
 from .linalg import solve
-from .quiver import Automorphism, Quiver, dynkin_type, fold, valued_type_name
+from .quiver import Automorphism, Quiver, ValuedQuiver, dynkin_type, fold, valued_type_name
 from .reps import Catalog
 from .specfile import parse_quiver
 
@@ -49,15 +55,47 @@ def _ambient_name(q: Quiver) -> str:
     return f"{family}{rank}"
 
 
-def _fmt_complex(z) -> str:
-    x, y = z
-    return f"{x}{'+' if y >= 0 else '-'}{abs(y)}i"
+def _fmt_complex(x: str, y: str) -> str:
+    im = Fraction(y)
+    return f"{x}{'+' if im >= 0 else '-'}{abs(im)}i"
+
+
+class Analysis:
+    """The artefacts of one pair (Q, S), each computed on first use and kept.
+
+    Every command reads what it needs from here, so ``report`` builds the
+    catalog, the transport permutation and each exchange graph once.
+    """
+
+    def __init__(self, q: Quiver, s: Automorphism):
+        self.q = q
+        self.s = s
+
+    @cached_property
+    def folded(self) -> ValuedQuiver:
+        return fold(self.q, self.s)
+
+    @cached_property
+    def catalog(self) -> Catalog:
+        return Catalog(self.q)
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        return self.catalog.transport_index(self.s)
+
+    @cached_property
+    def interval_eg(self) -> ExchangeGraph:
+        return build_interval_eg(self.catalog)
+
+    @cached_property
+    def folded_eg(self) -> FoldedEG:
+        return build_folded_eg(self.catalog, self.perm)
 
 
 # ---------------------------------------------------------------- fold
 
-def _fold_payload(q: Quiver, s: Automorphism) -> dict:
-    vq = fold(q, s)
+def _fold_payload(a: Analysis) -> dict:
+    vq = a.folded
     return {
         "folded_type": valued_type_name(vq),
         "orbits": [
@@ -77,8 +115,7 @@ def _fold_payload(q: Quiver, s: Automorphism) -> dict:
     }
 
 
-def _fold_table(q: Quiver, s: Automorphism) -> str:
-    p = _fold_payload(q, s)
+def _fold_table(p: dict) -> str:
     lines = [f"folded type: {p['folded_type'] or 'unrecognized'}"]
     for ov in p["orbits"]:
         members = " ".join(str(v) for v in ov["members"])
@@ -88,8 +125,7 @@ def _fold_table(q: Quiver, s: Automorphism) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fold_dot(q: Quiver, s: Automorphism) -> str:
-    p = _fold_payload(q, s)
+def _fold_dot(p: dict) -> str:
     lines = ["digraph folded {"]
     for ov in p["orbits"]:
         lines.append(f'  "{ov["name"]}" [label="{ov["name"]} (size {ov["size"]})"];')
@@ -101,76 +137,66 @@ def _fold_dot(q: Quiver, s: Automorphism) -> str:
 
 # ---------------------------------------------------------------- eg
 
-def _eg_data(q: Quiver, s: Automorphism, folded: bool):
-    catalog = Catalog(q)
-    perm = catalog.transport_index(s)
+def _eg_payload(a: Analysis, folded: bool) -> dict:
+    catalog, perm = a.catalog, a.perm
     if folded:
-        graph = build_folded_eg(catalog, perm)
-        edges = [
-            (src, [simple_label(catalog, graph.hearts[src].simples[p]) for p in orbit], tgt)
-            for src, orbit, tgt in graph.edges
-        ]
+        graph = a.folded_eg
+        edges = graph.edges
     else:
-        graph = build_interval_eg(catalog)
-        edges = [
-            (src, [simple_label(catalog, graph.hearts[src].simples[p])], tgt)
-            for src, p, tgt in graph.edges
-        ]
-    nodes = []
-    for i, h in enumerate(graph.hearts):
-        nodes.append(
+        # An interval edge tilts at one position, a folded edge at an orbit of them.
+        graph = a.interval_eg
+        edges = [(src, (p,), tgt) for src, p, tgt in graph.edges]
+    return {
+        "kind": "folded" if folded else "interval",
+        "nodes": [
             {
                 "id": i,
                 "label": heart_label(catalog, h),
                 "simples": [[catalog.labels[idx], shift] for idx, shift in h.simples],
                 "f_stable": is_f_stable(perm, h),
             }
-        )
-    return catalog, nodes, edges
-
-
-def _eg_payload(q: Quiver, s: Automorphism, folded: bool) -> dict:
-    _, nodes, edges = _eg_data(q, s, folded)
-    return {
-        "kind": "folded" if folded else "interval",
-        "nodes": nodes,
-        "edges": [{"src": a, "at": labels, "tgt": b} for a, labels, b in edges],
+            for i, h in enumerate(graph.hearts)
+        ],
+        "edges": [
+            {
+                "src": src,
+                "at": [simple_label(catalog, graph.hearts[src].simples[p]) for p in orbit],
+                "tgt": tgt,
+            }
+            for src, orbit, tgt in edges
+        ],
     }
 
 
-def _eg_dot(q: Quiver, s: Automorphism, folded: bool) -> str:
-    _, nodes, edges = _eg_data(q, s, folded)
-    name = "folded_exchange" if folded else "exchange"
+def _eg_dot(p: dict) -> str:
+    name = "folded_exchange" if p["kind"] == "folded" else "exchange"
     lines = [f"digraph {name} {{"]
-    for n in nodes:
+    for n in p["nodes"]:
         marks = ", peripheries=2" if n["f_stable"] else ""
         lines.append(f'  n{n["id"]} [label="{n["label"]}"{marks}];')
-    for a, labels, b in edges:
-        lines.append(f'  n{a} -> n{b} [label="{",".join(labels)}"];')
+    for e in p["edges"]:
+        lines.append(f'  n{e["src"]} -> n{e["tgt"]} [label="{",".join(e["at"])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _eg_table(q: Quiver, s: Automorphism, folded: bool) -> str:
-    _, nodes, edges = _eg_data(q, s, folded)
+def _eg_table(p: dict) -> str:
+    nodes, edges = p["nodes"], p["edges"]
     stable = sum(1 for n in nodes if n["f_stable"])
     lines = [f"hearts: {len(nodes)} (F-stable: {stable})"]
     for n in nodes:
         mark = " [F-stable]" if n["f_stable"] else ""
         lines.append(f"{n['id']}: {n['label']}{mark}")
     lines.append(f"edges: {len(edges)}")
-    for a, labels, b in edges:
-        lines.append(f"{a} -{','.join(labels)}-> {b}")
+    for e in edges:
+        lines.append(f"{e['src']} -{','.join(e['at'])}-> {e['tgt']}")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- classify
 
-def _classify_data(q: Quiver, s: Automorphism, folded: bool):
-    catalog = Catalog(q)
-    perm = catalog.transport_index(s)
-    graph = build_interval_eg(catalog)
-    vq = fold(q, s)
+def _classify_payload(a: Analysis, folded: bool) -> dict:
+    catalog, perm, graph, vq = a.catalog, a.perm, a.interval_eg, a.folded
     rows = []
     for i, h in enumerate(graph.hearts):
         constraints = numerical_constraints(catalog, h)
@@ -186,8 +212,6 @@ def _classify_data(q: Quiver, s: Automorphism, folded: bool):
         if cls.feasible:
             row["witness"] = [[str(x), str(y)] for x, y in cls.witness]
             if folded:
-                from .hearts import heart_k_matrix
-
                 b = tuple(tuple(Fraction(c) for c in r) for r in heart_k_matrix(catalog, h))
                 xs = solve(b, tuple(z[0] for z in cls.witness))
                 ys = solve(b, tuple(z[1] for z in cls.witness))
@@ -212,29 +236,23 @@ def _classify_data(q: Quiver, s: Automorphism, folded: bool):
         "f_stable": stable,
         "agreement": agree,
     }
-    return rows, summary
-
-
-def _classify_payload(q: Quiver, s: Automorphism, folded: bool) -> dict:
-    rows, summary = _classify_data(q, s, folded)
     return {"hearts": rows, "summary": summary}
 
 
-def _classify_table(q: Quiver, s: Automorphism, folded: bool) -> str:
-    rows, summary = _classify_data(q, s, folded)
+def _classify_table(p: dict) -> str:
+    summary = p["summary"]
     lines = []
-    for r in rows:
+    for r in p["hearts"]:
         stable = "F-stable" if r["f_stable"] else "not F-stable"
         if r["feasible"]:
-            zs = ", ".join(_fmt_complex((Fraction(x), Fraction(y))) for x, y in r["witness"])
+            zs = ", ".join(_fmt_complex(x, y) for x, y in r["witness"])
             cell = f"numerical cell nonempty; witness ({zs})"
         else:
             cell = f"numerical cell empty ({r['branches']} branch certificates)"
         lines.append(f"heart {r['id']} {r['label']}: {stable}, {cell}")
-        if r["feasible"] and folded and "folded_charge" in r:
+        if "folded_charge" in r:
             parts = ", ".join(
-                f"orbit {fc['orbit']}: {_fmt_complex((Fraction(fc['charge'][0]), Fraction(fc['charge'][1])))}"
-                for fc in r["folded_charge"]
+                f"orbit {fc['orbit']}: {_fmt_complex(*fc['charge'])}" for fc in r["folded_charge"]
             )
             lines.append(f"  folded charge: {parts}")
     lines.append(
@@ -248,13 +266,13 @@ def _classify_table(q: Quiver, s: Automorphism, folded: bool) -> str:
 
 # ---------------------------------------------------------------- braid
 
-def _braid_data(q: Quiver, s: Automorphism, check: str | None):
-    ambient = _ambient_name(q)
+def _braid_payload(a: Analysis, check: str | None) -> dict:
+    ambient = _ambient_name(a.q)
     if check is not None:
         if check.count("=") != 1:
             raise InputError('braid --check expects "WORD = WORD"')
         lhs_text, rhs_text = check.split("=")
-        system, _ = CoxeterSystem.from_quiver(q)
+        system, _ = CoxeterSystem.from_quiver(a.q)
         lhs = parse_word(lhs_text)
         rhs = parse_word(rhs_text)
         for slot, _ in lhs + rhs:
@@ -269,7 +287,7 @@ def _braid_data(q: Quiver, s: Automorphism, check: str | None):
             "rhs_nf": render_nf(system, nf_r),
             "verified": nf_l == nf_r,
         }
-    checks, folded_name = verify_folded_relations(q, s)
+    checks, folded_name = verify_folded_relations(a.q, a.s)
     relations = [
         {
             "source": c.source_orbit,
@@ -289,12 +307,7 @@ def _braid_data(q: Quiver, s: Automorphism, check: str | None):
     }
 
 
-def _braid_payload(q: Quiver, s: Automorphism, check: str | None) -> dict:
-    return _braid_data(q, s, check)
-
-
-def _braid_table(q: Quiver, s: Automorphism, check: str | None) -> str:
-    d = _braid_data(q, s, check)
+def _braid_table(d: dict) -> str:
     lines = [f"ambient type: {d['ambient_type']}"]
     if "check" in d:
         lines.append(f"check: {d['check']}")
@@ -317,30 +330,41 @@ def _braid_table(q: Quiver, s: Automorphism, check: str | None) -> str:
 
 # ---------------------------------------------------------------- report
 
-def _report_payload(q: Quiver, s: Automorphism, folded: bool) -> dict:
-    return {
-        "fold": _fold_payload(q, s),
-        "exchange_graph": _eg_payload(q, s, folded),
-        "classification": _classify_payload(q, s, folded),
-        "braid": _braid_payload(q, s, None),
-    }
+# (report key, command, table heading) of each section, in output order.
+_SECTIONS = (
+    ("fold", "fold", "fold"),
+    ("exchange_graph", "eg", "exchange graph"),
+    ("classification", "classify", "classification"),
+    ("braid", "braid", "braid"),
+)
 
 
-def _report_table(q: Quiver, s: Automorphism, folded: bool) -> str:
-    parts = [
-        "== fold ==",
-        _fold_table(q, s).rstrip("\n"),
-        "",
-        "== exchange graph ==",
-        _eg_table(q, s, folded).rstrip("\n"),
-        "",
-        "== classification ==",
-        _classify_table(q, s, folded).rstrip("\n"),
-        "",
-        "== braid ==",
-        _braid_table(q, s, None).rstrip("\n"),
-    ]
-    return "\n".join(parts) + "\n"
+def _payload(cmd: str, a: Analysis, folded: bool, check: str | None) -> dict:
+    if cmd == "fold":
+        return _fold_payload(a)
+    if cmd == "eg":
+        return _eg_payload(a, folded)
+    if cmd == "classify":
+        return _classify_payload(a, folded)
+    if cmd == "braid":
+        return _braid_payload(a, check)
+    return {key: _payload(sub, a, folded, None) for key, sub, _ in _SECTIONS}
+
+
+def _report_table(p: dict) -> str:
+    return "\n\n".join(
+        f"== {heading} ==\n" + _TABLES[sub](p[key]).rstrip("\n") for key, sub, heading in _SECTIONS
+    ) + "\n"
+
+
+_TABLES = {
+    "fold": _fold_table,
+    "eg": _eg_table,
+    "classify": _classify_table,
+    "braid": _braid_table,
+    "report": _report_table,
+}
+_DOTS = {"fold": _fold_dot, "eg": _eg_dot}
 
 
 # ---------------------------------------------------------------- driver
@@ -354,30 +378,13 @@ _DEFAULT_FORMAT = {
 }
 
 
-def _render(cmd: str, fmt: str, q: Quiver, s: Automorphism, folded: bool, check) -> str:
-    if fmt == "json":
-        payloads = {
-            "fold": lambda: _fold_payload(q, s),
-            "eg": lambda: _eg_payload(q, s, folded),
-            "classify": lambda: _classify_payload(q, s, folded),
-            "braid": lambda: _braid_payload(q, s, check),
-            "report": lambda: _report_payload(q, s, folded),
-        }
-        return json.dumps({"schema": 1, **payloads[cmd]()}, indent=2) + "\n"
-    if fmt == "dot":
-        if cmd == "fold":
-            return _fold_dot(q, s)
-        if cmd == "eg":
-            return _eg_dot(q, s, folded)
+def _render(cmd: str, fmt: str, a: Analysis, folded: bool, check: str | None) -> str:
+    if fmt == "dot" and cmd not in _DOTS:
         raise InputError(f"{cmd} has no dot rendering; use --format table or json")
-    tables = {
-        "fold": lambda: _fold_table(q, s),
-        "eg": lambda: _eg_table(q, s, folded),
-        "classify": lambda: _classify_table(q, s, folded),
-        "braid": lambda: _braid_table(q, s, check),
-        "report": lambda: _report_table(q, s, folded),
-    }
-    return tables[cmd]()
+    payload = _payload(cmd, a, folded, check)
+    if fmt == "json":
+        return json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+    return (_DOTS if fmt == "dot" else _TABLES)[cmd](payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"output format (default: {_DEFAULT_FORMAT[name]})",
         )
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker count; accepted for compatibility, runs sequentially",
-        )
         if name == "braid":
             p.add_argument(
                 "--check",
@@ -424,12 +425,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise InputError("--jobs must be at least 1")
-        q, s = _load(args.specfile)
+        analysis = Analysis(*_load(args.specfile))
         fmt = args.format or _DEFAULT_FORMAT[args.command]
-        check = getattr(args, "check", None)
-        text = _render(args.command, fmt, q, s, args.fold, check)
+        text = _render(args.command, fmt, analysis, args.fold, getattr(args, "check", None))
     except InputError as exc:
         print(f"foldstab: error: {exc}", file=sys.stderr)
         return 2

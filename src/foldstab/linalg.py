@@ -26,10 +26,6 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def int_mat(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
@@ -60,14 +56,6 @@ def mat_vec(a, v):
 
 def vec_mat(v, a):
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))) if a else ()
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -155,8 +155,9 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple]]:
     return sections
 
 
-def _parse_cycles(text: str, kind: str, universe: list) -> dict:
-    """Parse cycle notation like '(1 3)(2 5)' over the given universe."""
+def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
+    """Parse cycle notation like '(1 3)(2 5)' over the given universe, reading
+    each token with `element` (int for vertex ids, str for arrow names)."""
     mapping = {x: x for x in universe}
     body = text.strip()
     pos = 0
@@ -173,7 +174,12 @@ def _parse_cycles(text: str, kind: str, universe: list) -> dict:
         pos = end + 1
         if not items:
             continue
-        elems = [int(t) if isinstance(universe[0], int) else t for t in items]
+        elems = []
+        for t in items:
+            try:
+                elems.append(element(t))
+            except ValueError:
+                raise InputError(f"{kind}: {t!r} is not an integer") from None
         for e in elems:
             if e not in mapping:
                 raise InputError(f"{kind}: {e!r} is not declared")
@@ -246,13 +252,13 @@ def parse_quiver(text: str) -> tuple[Quiver, Automorphism | None]:
     pval, pline, pcol = asec["vertex_perm"]
     if not isinstance(pval, tuple):
         raise SpecParseError("'vertex_perm' must be a string", pline, pcol)
-    vmap = _parse_cycles(pval[0], "vertex_perm", list(q.vertices))
+    vmap = _parse_cycles(pval[0], "vertex_perm", list(q.vertices), int)
 
     if "arrow_perm" in asec:
         aval, aline, acol = asec["arrow_perm"]
         if not isinstance(aval, tuple):
             raise SpecParseError("'arrow_perm' must be a string", aline, acol)
-        amap = _parse_cycles(aval[0], "arrow_perm", [a.name for a in q.arrows])
+        amap = _parse_cycles(aval[0], "arrow_perm", [a.name for a in q.arrows], str)
         arrow_images = [amap[a.name] for a in q.arrows]
     else:
         arrow_images = _infer_arrow_images(q, vmap)

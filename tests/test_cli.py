@@ -214,6 +214,72 @@ def test_report_json(capsys) -> None:
     assert payload["braid"]["verified"] is True
 
 
+# (report key, standalone command, report table heading) of each section.
+REPORT_SECTIONS = (
+    ("fold", "fold", "fold"),
+    ("exchange_graph", "eg", "exchange graph"),
+    ("classification", "classify", "classification"),
+    ("braid", "braid", "braid"),
+)
+
+
+def json_payload(capsys, *argv: str) -> dict:
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload.pop("schema") == 1
+    return payload
+
+
+@pytest.mark.parametrize("flags", [(), ("--fold",)], ids=["interval", "folded"])
+@pytest.mark.parametrize("spec", [A3, D4_ROT], ids=["a3_flip", "d4_triality"])
+def test_report_json_sections_equal_standalone_payloads(capsys, spec, flags) -> None:
+    report = json_payload(capsys, "report", spec, *flags)
+    assert list(report) == [key for key, _, _ in REPORT_SECTIONS]
+    for key, cmd, _ in REPORT_SECTIONS:
+        assert report[key] == json_payload(capsys, cmd, spec, *flags), key
+
+
+@pytest.mark.parametrize("flags", [(), ("--fold",)], ids=["interval", "folded"])
+@pytest.mark.parametrize("spec", [A3, D4_ROT], ids=["a3_flip", "d4_triality"])
+def test_report_table_sections_equal_standalone_tables(capsys, spec, flags) -> None:
+    code, out, _ = run_cli(capsys, "report", spec, "--format", "table", *flags)
+    assert code == 0
+    sections = []
+    for _, cmd, heading in REPORT_SECTIONS:
+        code, table, _ = run_cli(capsys, cmd, spec, "--format", "table", *flags)
+        assert code == 0
+        sections.append(f"== {heading} ==\n{table}")
+    assert out == "\n".join(sections)
+
+
+@pytest.mark.parametrize("flags", [(), ("--fold",)], ids=["interval", "folded"])
+def test_report_builds_each_artefact_once(capsys, monkeypatch, flags) -> None:
+    import foldstab.cli as cli
+    from foldstab.reps import Catalog
+
+    calls = {"catalog": 0, "interval_eg": 0, "folded_eg": 0}
+    catalog_init = Catalog.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls["catalog"] += 1
+        catalog_init(self, *args, **kwargs)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Catalog, "__init__", counting_init)
+    monkeypatch.setattr(cli, "build_interval_eg", counted("interval_eg", cli.build_interval_eg))
+    monkeypatch.setattr(cli, "build_folded_eg", counted("folded_eg", cli.build_folded_eg))
+    code, _, _ = run_cli(capsys, "report", A5, *flags)
+    assert code == 0
+    assert calls == {"catalog": 1, "interval_eg": 1, "folded_eg": len(flags)}
+
+
 def test_missing_file(capsys) -> None:
     code, _, err = run_cli(capsys, "fold", "/nonexistent/x.toml")
     assert code == 2
@@ -235,11 +301,10 @@ def test_dot_unsupported_for_classify(capsys) -> None:
 
 
 def test_jobs_validation(capsys) -> None:
-    code, _, err = run_cli(capsys, "fold", A3, "--jobs", "0")
-    assert code == 2
-    assert "--jobs" in err
-    code, _, _ = run_cli(capsys, "fold", A3, "--jobs", "4")
-    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fold", A3, "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
 def test_unsupported_type_exit_code(capsys, tmp_path) -> None:

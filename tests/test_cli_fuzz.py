@@ -1,0 +1,58 @@
+"""Fuzz the CLI exit-code contract on mutated spec fixtures.
+
+Every input, however malformed, must end in exit code 0, 2, 3 or 4; a
+traceback (an exception escaping ``main``) is a bug.  The mutants are the
+`specs/` fixtures with lines dropped or duplicated and tokens replaced by
+other tokens of the fixtures.  The search is derandomized so the suite stays
+deterministic.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from foldstab.cli import main  # noqa: E402
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+FIXTURES = [p.read_text(encoding="utf-8") for p in sorted(SPECS.glob("*.toml"))]
+TOKEN = re.compile(r"\w+|\S")
+# Replacement tokens: every token of the fixtures, plus deletion and a line break.
+VOCABULARY = sorted({t for text in FIXTURES for t in TOKEN.findall(text)} | {"", "\n"})
+
+
+@st.composite
+def mutated_specs(draw) -> str:
+    lines = draw(st.sampled_from(FIXTURES)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "copy", "replace")))
+        spans = [m.span() for m in TOKEN.finditer(lines[i])]
+        if op == "drop":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(i, lines[i])
+        elif spans:
+            start, stop = draw(st.sampled_from(spans))
+            lines[i] = lines[i][:start] + draw(st.sampled_from(VOCABULARY)) + lines[i][stop:]
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "spec.toml"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=mutated_specs())
+def test_fold_exit_codes_on_mutated_specs(spec_path, text) -> None:
+    spec_path.write_text(text, encoding="utf-8")
+    assert main(["fold", str(spec_path)]) in {0, 2, 3, 4}

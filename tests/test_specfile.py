@@ -131,3 +131,19 @@ def test_vertex_perm_double_use_rejected() -> None:
             '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
             '[automorphism]\nvertex_perm = "(1 3)(3 1)"\n'
         )
+
+
+def test_vertex_perm_non_integer_token_rejected() -> None:
+    with pytest.raises(InputError, match=r"vertex_perm: 'x3' is not an integer"):
+        parse_quiver(
+            '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
+            '[automorphism]\nvertex_perm = "(1 x3)"\n'
+        )
+
+
+def test_arrow_perm_without_arrows_rejected() -> None:
+    with pytest.raises(InputError, match=r"arrow_perm: 'a' is not declared"):
+        parse_quiver(
+            "[quiver]\nvertices = [1, 2]\n"
+            '[automorphism]\nvertex_perm = "(1 2)"\narrow_perm = "(a b)"\n'
+        )

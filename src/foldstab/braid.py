@@ -1,18 +1,21 @@
 """Garside normal forms for Artin braid groups of finite Coxeter systems.
 
 Elements of the Coxeter group are integer matrices in the reflection
-representation attached to a crystallographic Cartan matrix; the group is
-enumerated once by breadth-first search, which also yields lengths.  Braid
-words (letters are generators or their inverses) are put into left-greedy
-normal form Delta^k x_1 ... x_r; two words are equal in the braid group
-exactly when their normal forms coincide.
+representation attached to a crystallographic Cartan matrix.  The group is
+never enumerated: descents are sign tests on roots (Bjorner-Brenti, GTM 231,
+section 4.4), the longest element is a greedy product of generators, and the
+group order comes from the heights of the positive roots.  Braid words
+(letters are generators or their inverses) are put into left-greedy normal
+form Delta^k x_1 ... x_r; two words are equal in the braid group exactly
+when their normal forms coincide.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError, UnsupportedTypeError
+from .errors import InputError, UnsupportedTypeError
 from .quiver import (
     Automorphism,
     Quiver,
@@ -93,8 +96,39 @@ def cartan_for_type(family: str, rank: int) -> IntMatrix:
     return tuple(tuple(row) for row in c)
 
 
+def _positive_roots(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Positive roots in the simple-root basis.
+
+    Every positive root is reached from a simple root by reflections s_i that
+    raise the height, i.e. where <alpha_i^v, beta> < 0.
+    """
+    n = len(cartan)
+    simple = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    roots = set(simple)
+    frontier = simple
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i, row in enumerate(cartan):
+                k = sum(c * b for c, b in zip(row, beta))
+                if k < 0:
+                    gamma = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+                    if gamma not in roots:
+                        roots.add(gamma)
+                        nxt.append(gamma)
+        frontier = nxt
+    return tuple(sorted(roots))
+
+
 class CoxeterSystem:
-    """A finite Coxeter group in its reflection representation."""
+    """A finite Coxeter group in its reflection representation.
+
+    Column s of w is w(alpha_s), so s is a right descent iff that column is
+    negative.  s is a left descent iff w^-1(alpha_s) < 0, i.e. iff
+    (alpha_s, w 2rho) < 0 in the W-invariant form B = D . C, where 2rho, the
+    sum of the positive roots, has C . 2rho = (2, ..., 2).  D is a positive
+    diagonal, so that is the sign of row s of C . w . 2rho.
+    """
 
     def __init__(self, cartan: IntMatrix):
         self.cartan = cartan
@@ -108,24 +142,21 @@ class CoxeterSystem:
             gens.append(tuple(tuple(row) for row in m))
         self.gens: tuple[IntMatrix, ...] = tuple(gens)
         self.identity = _identity(n)
-        lengths = {self.identity: 0}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in self.gens:
-                    u = _mul(g, w)
-                    if u not in lengths:
-                        lengths[u] = lengths[w] + 1
-                        nxt.append(u)
-            frontier = nxt
-        self.length: dict[IntMatrix, int] = lengths
-        self.order = len(lengths)
-        top = max(lengths.values())
-        longest = [w for w, l in lengths.items() if l == top]
-        if len(longest) != 1:
-            raise InternalError("longest element is not unique")
-        self.w0: IntMatrix = longest[0]
+        roots = _positive_roots(cartan)
+        self._two_rho = tuple(map(sum, zip(*roots)))
+        # Roots by height form the partition dual to the exponents m_i
+        # (Kostant), and |W| is the product of the degrees m_i + 1.
+        by_height = Counter(map(sum, roots))
+        self.order = 1
+        for h, count in by_height.items():
+            self.order *= (h + 1) ** (count - by_height.get(h + 1, 0))
+        w = self.identity
+        while True:
+            up = next((s for s, col in enumerate(zip(*w)) if sum(col) > 0), None)
+            if up is None:
+                break
+            w = _mul(w, self.gens[up])
+        self.w0: IntMatrix = w
 
     @classmethod
     def from_quiver(cls, q: Quiver) -> tuple["CoxeterSystem", dict[int, int]]:
@@ -145,12 +176,13 @@ class CoxeterSystem:
         return out
 
     def left_descents(self, w: IntMatrix) -> tuple[int, ...]:
-        lw = self.length[w]
-        return tuple(i for i, g in enumerate(self.gens) if self.length[_mul(g, w)] < lw)
+        w_rho = [sum(x * y for x, y in zip(row, self._two_rho)) for row in w]
+        return tuple(
+            s for s, row in enumerate(self.cartan) if sum(c * x for c, x in zip(row, w_rho)) < 0
+        )
 
     def right_descents(self, w: IntMatrix) -> tuple[int, ...]:
-        lw = self.length[w]
-        return tuple(i for i, g in enumerate(self.gens) if self.length[_mul(w, g)] < lw)
+        return tuple(s for s, col in enumerate(zip(*w)) if sum(col) < 0)
 
     def tau(self, w: IntMatrix) -> IntMatrix:
         """Conjugation by the longest element; an involution on simples."""

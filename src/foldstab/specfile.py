@@ -82,8 +82,12 @@ class _Line:
         m = re.match(r"-?\d+", self.text[self.pos :])
         if not m:
             self.error("expected an integer")
+        try:
+            value = int(m.group())
+        except ValueError:
+            self.error("integer literal is too long")
         self.pos += m.end()
-        return int(m.group())
+        return value
 
     def string(self) -> tuple[str, int]:
         self.skip_space()
@@ -237,7 +241,12 @@ def parse_quiver(text: str) -> tuple[Quiver, Automorphism | None]:
                 raise SpecParseError(
                     f"bad arrow {s!r}, expected 'name: tail -> head'", aline, col
                 )
-            arrows.append((m.group(1), int(m.group(2)), int(m.group(3))))
+            try:
+                arrows.append((m.group(1), int(m.group(2)), int(m.group(3))))
+            except ValueError:
+                raise SpecParseError(
+                    f"bad arrow {m.group(1)!r}: vertex id is too long", aline, col
+                ) from None
         names = [a[0] for a in arrows]
         if len(set(names)) != len(names):
             raise SpecParseError("duplicate arrow name", aline, acol)

@@ -5,8 +5,9 @@ implementation: positive roots from the Tits form instead of reflections,
 simple tilts by building modules (universal extensions, kernels and
 cokernels of matrix maps) instead of class arithmetic, interval hearts by
 exhaustive filtering of Hom/Ext tables computed on matrices instead of
-breadth-first tilting, and the folded exchange graph by trying every tilt
-order by hand.
+breadth-first tilting, the folded exchange graph by trying every tilt
+order by hand, and Coxeter lengths, descents and the longest element by
+enumerating the Weyl group instead of sign tests on roots.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from foldstab.braid import IntMatrix, _identity, _mul
 from foldstab.errors import InternalError
 from foldstab.hearts import Heart, make_heart, seed_heart
 from foldstab.quiver import Quiver
@@ -240,3 +242,66 @@ def brute_force_folded_eg(catalog: Catalog, perm: tuple[int, ...]):
             orbit_simples = tuple(sorted(heart.simples[p] for p in orbit))
             edges.add((heart.simples, orbit_simples, new.simples))
     return hearts, edges
+
+
+class EnumeratedCoxeterSystem:
+    """A finite Coxeter group enumerated by breadth-first search; lengths and
+    descents are read off the table of all elements.
+
+    With `max_length` the search stops at that length.  An element missing
+    from the table is then longer than every element in it, so descents stay
+    exact on the table, but there is no `w0`.  Otherwise the oracle can stand
+    in for `foldstab.braid.CoxeterSystem` in `normal_form` and `render_nf`.
+    """
+
+    def __init__(self, cartan: IntMatrix, max_length: int | None = None):
+        self.rank = n = len(cartan)
+        self.gens = tuple(
+            tuple(
+                tuple((1 if r == c else 0) - (cartan[r][c] if r == i else 0) for c in range(n))
+                for r in range(n)
+            )
+            for i in range(n)
+        )
+        self.identity = _identity(n)
+        lengths = {self.identity: 0}
+        frontier = [self.identity]
+        depth = 0
+        while frontier and (max_length is None or depth < max_length):
+            depth += 1
+            nxt = []
+            for w in frontier:
+                for g in self.gens:
+                    u = _mul(g, w)
+                    if u not in lengths:
+                        lengths[u] = depth
+                        nxt.append(u)
+            frontier = nxt
+        self.length: dict[IntMatrix, int] = lengths
+        self.order = len(lengths)
+        self.w0 = None
+        if max_length is None:
+            top = max(lengths.values())
+            longest = [w for w, l in lengths.items() if l == top]
+            if len(longest) != 1:
+                raise InternalError("longest element is not unique")
+            self.w0 = longest[0]
+
+    def left_descents(self, w: IntMatrix) -> tuple[int, ...]:
+        lw = self.length[w]
+        return tuple(i for i, g in enumerate(self.gens) if self.length.get(_mul(g, w), lw + 1) < lw)
+
+    def right_descents(self, w: IntMatrix) -> tuple[int, ...]:
+        lw = self.length[w]
+        return tuple(i for i, g in enumerate(self.gens) if self.length.get(_mul(w, g), lw + 1) < lw)
+
+    def tau(self, w: IntMatrix) -> IntMatrix:
+        return _mul(_mul(self.w0, w), self.w0)
+
+    def reduced_word(self, w: IntMatrix) -> tuple[int, ...]:
+        letters = []
+        while w != self.identity:
+            s = min(self.left_descents(w))
+            letters.append(s)
+            w = _mul(self.gens[s], w)
+        return tuple(letters)

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import random
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
+
+from oracles import EnumeratedCoxeterSystem
 
 from foldstab.braid import (
     CoxeterSystem,
@@ -45,7 +51,8 @@ def test_from_quiver_slots(q_a3) -> None:
 
 def test_longest_element(q_a3) -> None:
     system, _ = CoxeterSystem.from_quiver(q_a3)
-    assert system.length[system.w0] == 6
+    assert system.left_descents(system.w0) == (0, 1, 2)
+    assert system.right_descents(system.w0) == (0, 1, 2)
     assert system.reduced_word(system.w0) == (0, 1, 0, 2, 1, 0)
     assert system.tau(system.gens[0]) == system.gens[2]
     assert system.tau(system.gens[1]) == system.gens[1]
@@ -187,9 +194,66 @@ def test_twist_preserves_pairing(cat_a3) -> None:
 def test_e6_fold_relations() -> None:
     from foldstab.specfile import parse_quiver
 
-    with open("specs/e6_fold.toml", encoding="utf-8") as fh:
+    spec = Path(__file__).resolve().parent.parent / "specs" / "e6_fold.toml"
+    with open(spec, encoding="utf-8") as fh:
         q, s = parse_quiver(fh.read())
     checks, name = verify_folded_relations(q, s)
     assert name == "F4"
     assert sorted(c.exponent for c in checks) == [2, 2, 2, 3, 3, 4]
     assert all(c.holds for c in checks)
+
+
+ORACLE_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+    ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+]
+
+
+@lru_cache(maxsize=None)
+def _oracle(family: str, rank: int) -> EnumeratedCoxeterSystem:
+    return EnumeratedCoxeterSystem(cartan_for_type(family, rank))
+
+
+@pytest.mark.parametrize("family, rank", ORACLE_TYPES)
+def test_descents_match_enumeration(family, rank) -> None:
+    system = CoxeterSystem.from_type(family, rank)
+    oracle = _oracle(family, rank)
+    assert system.order == oracle.order
+    assert system.w0 == oracle.w0
+    for w in oracle.length:
+        assert system.left_descents(w) == oracle.left_descents(w)
+        assert system.right_descents(w) == oracle.right_descents(w)
+
+
+@pytest.mark.parametrize("family, rank", ORACLE_TYPES)
+def test_normal_forms_match_enumeration(family, rank) -> None:
+    system = CoxeterSystem.from_type(family, rank)
+    oracle = _oracle(family, rank)
+    rng = random.Random(100 * rank + ord(family))
+    for _ in range(6):
+        word = tuple(
+            (rng.randrange(rank), rng.choice((1, -1))) for _ in range(rng.randint(1, 14))
+        )
+        nf = normal_form(system, word)
+        assert nf == normal_form(oracle, word)
+        assert render_nf(system, nf) == render_nf(oracle, nf)
+
+
+def test_e6_short_elements_match_truncated_enumeration() -> None:
+    system = CoxeterSystem.from_type("E", 6)
+    oracle = EnumeratedCoxeterSystem(cartan_for_type("E", 6), max_length=5)
+    # Coefficients of the Poincare polynomial, degrees 2, 5, 6, 8, 9, 12.
+    assert len(oracle.length) == 1 + 6 + 20 + 50 + 105 + 195
+    for w, length in oracle.length.items():
+        assert len(system.reduced_word(w)) == length
+        assert system.left_descents(w) == oracle.left_descents(w)
+        assert system.right_descents(w) == oracle.right_descents(w)
+
+
+@pytest.mark.parametrize(
+    "rank, order, positive_roots", [(6, 51840, 36), (7, 2903040, 63), (8, 696729600, 120)]
+)
+def test_e_series_order_and_longest_word(rank, order, positive_roots) -> None:
+    system = CoxeterSystem.from_type("E", rank)
+    assert system.order == order
+    assert len(system.reduced_word(system.w0)) == positive_roots

@@ -187,6 +187,49 @@ def test_braid_check_errors(capsys) -> None:
     assert "out of range" in err
 
 
+# Plain E7 and E8 quivers numbered along their canonical slot order: a chain
+# 1 - ... - (n-1) with vertex n on the branch vertex n-3.
+E_SPECS = {
+    7: '[quiver]\nvertices = [1, 2, 3, 4, 5, 6, 7]\narrows = ["a1: 1 -> 2", "a2: 2 -> 3", '
+    '"a3: 3 -> 4", "a4: 4 -> 5", "a5: 5 -> 6", "a7: 7 -> 4"]\n',
+    8: '[quiver]\nvertices = [1, 2, 3, 4, 5, 6, 7, 8]\narrows = ["a1: 1 -> 2", "a2: 2 -> 3", '
+    '"a3: 3 -> 4", "a4: 4 -> 5", "a5: 5 -> 6", "a6: 6 -> 7", "a8: 8 -> 5"]\n',
+}
+
+
+# Each right-hand word is the left one after braid moves (121 = 212 and the
+# like on bonded generators) and commutations of unbonded ones; the unequal
+# word flips the sign of one letter, which changes the exponent sum.
+@pytest.mark.parametrize(
+    "rank, lhs, equal, unequal",
+    [
+        (
+            7,
+            "1 2 1 3 5 4 7 4 6 5 6 3^-1 7",
+            "2 1 2 5 3 7 4 7 5 6 5 7 3^-1",
+            "2 1 2 5 3 7 4^-1 7 5 6 5 7 3^-1",
+        ),
+        (
+            8,
+            "1 2 1 4 8 5 8 7 6 7 3^-1 1 2^-1",
+            "2 1 2 4 5 8 5 6 7 6 1 3^-1 2^-1",
+            "2 1 2 4^-1 5 8 5 6 7 6 1 3^-1 2^-1",
+        ),
+    ],
+    ids=["E7", "E8"],
+)
+def test_braid_check_e7_e8(capsys, tmp_path, rank, lhs, equal, unequal) -> None:
+    spec = tmp_path / f"e{rank}.toml"
+    spec.write_text(E_SPECS[rank], encoding="utf-8")
+    for rhs, verdict in ((equal, "VERIFIED"), (unequal, "FAILED")):
+        code, out, err = run_cli(capsys, "braid", str(spec), "--check", f"{lhs} = {rhs}")
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"ambient type: E{rank}"
+        assert lines[-1] == verdict
+
+
 def test_braid_check_bad_letter(capsys) -> None:
     code, out, err = run_cli(capsys, "braid", A2, "--check", "1 2 = x")
     assert code == 2

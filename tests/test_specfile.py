@@ -147,3 +147,22 @@ def test_arrow_perm_without_arrows_rejected() -> None:
             "[quiver]\nvertices = [1, 2]\n"
             '[automorphism]\nvertex_perm = "(1 2)"\narrow_perm = "(a b)"\n'
         )
+
+
+def test_overlong_integer_literal_is_positioned_error(tmp_path) -> None:
+    from foldstab.cli import main
+
+    text = "[quiver]\nvertices = [2, " + "1" * 5000 + "]\n"
+    with pytest.raises(SpecParseError, match="integer literal is too long") as info:
+        parse_quiver(text)
+    assert (info.value.line, info.value.column) == (2, 16)
+    spec = tmp_path / "long.toml"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["fold", str(spec)]) == 2
+
+
+def test_overlong_arrow_endpoint_is_positioned_error() -> None:
+    text = '[quiver]\nvertices = [1, 2]\narrows = ["a: ' + "1" * 5000 + ' -> 2"]\n'
+    with pytest.raises(SpecParseError, match="bad arrow 'a': vertex id is too long") as info:
+        parse_quiver(text)
+    assert (info.value.line, info.value.column) == (3, 11)

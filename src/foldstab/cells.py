@@ -2,12 +2,22 @@
 
 A central charge assigns each simple of a heart a complex number in the
 closed-upper-half-plane region H = {Im z > 0} union {Im z = 0, Re z > 0}.
-A cell is cut out of H^n by rational linear constraints (numerical ones from
-the kernel of the pairing form, or stability ones from a quiver
-automorphism).  Feasibility splits over the subset of coordinates pinned to
-the real axis; each branch is a pair of strict rational systems, one for the
-imaginary parts and one for the real parts, decided exactly with a witness
-or a verified infeasibility certificate.
+A cell is cut out of H^n by rational linear constraints C (numerical ones
+from the kernel of the pairing form, or stability ones from a quiver
+automorphism).  A charge lies on the real axis at the pinned coordinates Q
+and above it elsewhere, so each Q is a branch with two strict rational
+systems: the imaginary parts (C y = 0, y_Q = 0, y > 0 off Q) and the real
+parts (C x = 0, x > 0 on Q).
+
+The imaginary system is solvable only when the complement of Q is the
+support of a nonnegative vector of ker C, so Q contains the complement of
+the maximal support S (Goldman-Tucker).  A short chain of exact LPs finds
+~S: each infeasible step's Farkas multipliers name coordinates that vanish
+on every such vector, and they are pinned before the next step.  A real
+system solvable on Q stays solvable on every subset of Q, so the cell is
+nonempty iff the real system on ~S is solvable.  When it is not, the
+infeasibility certificate of every one of the 2^n branches is read off the
+chain's certificates, with no further LP.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from itertools import combinations
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix
 from .linalg import inverse, mat, rank, vec_mat
-from .quiver import Automorphism, ValuedQuiver, euler_form_cy3, integer_kernel
+from .quiver import Automorphism, ValuedQuiver
 from .ratlp import Infeasibility, Row, solve_strict_system, verify_infeasibility
 from .reps import Catalog
 
@@ -46,8 +56,9 @@ def vertex_functionals_to_heart(catalog: Catalog, heart: Heart, rows) -> tuple[R
 
 def numerical_constraints(catalog: Catalog, heart: Heart) -> tuple[Row, ...]:
     """Charge must kill the kernel of the antisymmetrized pairing."""
-    form = euler_form_cy3(catalog.quiver)
-    return vertex_functionals_to_heart(catalog, heart, integer_kernel(form))
+    if not catalog.cy3_kernel:
+        return ()
+    return vertex_functionals_to_heart(catalog, heart, catalog.cy3_kernel)
 
 
 def f_constraint_rows(s: Automorphism) -> tuple[tuple[int, ...], ...]:
@@ -90,26 +101,83 @@ def _unit_row(n: int, j: int) -> Row:
     return tuple(_ONE if i == j else _ZERO for i in range(n))
 
 
+def _im_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
+    """(equalities, positives) of C y = 0, y_j = 0 on real_axis, y_j > 0 off it."""
+    eqs = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
+    return eqs, tuple(_unit_row(n, j) for j in range(n) if j not in real_axis)
+
+
+def _re_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
+    """(equalities, positives) of C x = 0, x_j > 0 on real_axis."""
+    return tuple(constraints), tuple(_unit_row(n, j) for j in real_axis)
+
+
 def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
-    """Decide whether the constrained cell meets H^n, with proof either way."""
-    certs = []
-    for real_axis in _branches(n):
-        pinned = set(real_axis)
-        y_eq = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
-        y_pos = tuple(_unit_row(n, j) for j in range(n) if j not in pinned)
-        y_res = solve_strict_system(y_eq, y_pos, n)
-        if isinstance(y_res, Infeasibility):
-            certs.append(BranchCertificate(real_axis, "im", y_res))
+    """Decide whether the constrained cell meets H^n, with proof either way.
+
+    The chain starts with nothing pinned.  While the imaginary system is
+    infeasible, every free coordinate with a positive multiplier is pinned
+    and the system is solved again; the chain ends at ~S and costs at most
+    n + 1 solves.  One more solve, of the real system on ~S, decides the
+    cell.  A nonempty cell's witness is the first branch of `_branches` with
+    both systems solvable, which is ~S.  An empty cell gets a certificate
+    for every branch, read off the chain by `_branch_certificate`.
+    """
+    if not constraints:
+        return CellClassification(True, ((_ZERO, _ONE),) * n, None)
+    pinned: tuple[int, ...] = ()
+    chain = []
+    while True:
+        y_res = solve_strict_system(*_im_system(constraints, pinned, n), n)
+        if not isinstance(y_res, Infeasibility):
+            break
+        chain.append((pinned, y_res))
+        free = (j for j in range(n) if j not in pinned)
+        vanish = {j for j, lam in zip(free, y_res.positive_multipliers) if lam > 0}
+        pinned = tuple(sorted(vanish.union(pinned)))
+    x_res = solve_strict_system(*_re_system(constraints, pinned, n), n)
+    if not isinstance(x_res, Infeasibility):
+        return CellClassification(True, tuple(zip(x_res.point, y_res.point)), None)
+    m = len(constraints)
+    certs = tuple(_branch_certificate(q, pinned, x_res, chain, m, n) for q in _branches(n))
+    return CellClassification(False, None, certs)
+
+
+def _branch_certificate(
+    real_axis: tuple[int, ...],
+    pinned: tuple[int, ...],
+    x_cert: Infeasibility,
+    chain: list[tuple[tuple[int, ...], Infeasibility]],
+    m: int,
+    n: int,
+) -> BranchCertificate:
+    """Infeasibility of one branch, derived from the chain with no LP.
+
+    A branch containing ~S (= pinned) inherits the real certificate of ~S,
+    its multipliers zero-extended.  Any other branch contains some chain
+    step P whose multipliers are positive somewhere off the branch: those
+    off the branch stay positive multipliers, those on it move to the
+    branch's unit rows, and the sum is scaled up to at least 1.
+    """
+    q = set(real_axis)
+    if q.issuperset(pinned):
+        lam = dict(zip(pinned, x_cert.positive_multipliers))
+        pos = tuple(lam.get(j, _ZERO) for j in real_axis)
+        return BranchCertificate(real_axis, "re", Infeasibility(pos, x_cert.equality_multipliers))
+    for p, cert in chain:
+        if not q.issuperset(p):
             continue
-        x_eq = tuple(constraints)
-        x_pos = tuple(_unit_row(n, j) for j in real_axis)
-        x_res = solve_strict_system(x_eq, x_pos, n)
-        if isinstance(x_res, Infeasibility):
-            certs.append(BranchCertificate(real_axis, "re", x_res))
+        lam = dict(zip((j for j in range(n) if j not in p), cert.positive_multipliers))
+        pos = tuple(lam[j] for j in range(n) if j not in q)
+        total = sum(pos)
+        if total == 0:
             continue
-        witness = tuple((x, y) for x, y in zip(x_res.point, y_res.point))
-        return CellClassification(True, witness, None)
-    return CellClassification(False, None, tuple(certs))
+        on_branch = {**lam, **dict(zip(p, cert.equality_multipliers[m:]))}
+        eq = cert.equality_multipliers[:m] + tuple(on_branch[j] for j in real_axis)
+        scale = _ONE if total >= 1 else 1 / total
+        certificate = Infeasibility(tuple(scale * v for v in pos), tuple(scale * v for v in eq))
+        return BranchCertificate(real_axis, "im", certificate)
+    raise InternalError(f"no chain step certifies branch {real_axis}")
 
 
 def in_half_plane(z: Complex) -> bool:
@@ -139,13 +207,8 @@ def verify_classification(
         c = seen.get(real_axis)
         if c is None:
             return False
-        pinned = set(real_axis)
-        if c.axis == "im":
-            eqs = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
-            pos = tuple(_unit_row(n, j) for j in range(n) if j not in pinned)
-        else:
-            eqs = tuple(constraints)
-            pos = tuple(_unit_row(n, j) for j in real_axis)
+        system = _im_system if c.axis == "im" else _re_system
+        eqs, pos = system(constraints, real_axis, n)
         if not pos:
             return False
         if not verify_infeasibility(eqs, pos, c.certificate):

@@ -22,7 +22,14 @@ from operator import mul
 
 from .errors import InternalError, UnsupportedTypeError
 from .linalg import Matrix, kernel_basis, mat_vec, rank, rref, solve
-from .quiver import Automorphism, Quiver, dynkin_type, euler_form_hereditary
+from .quiver import (
+    Automorphism,
+    Quiver,
+    dynkin_type,
+    euler_form_cy3,
+    euler_form_hereditary,
+    integer_kernel,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -526,6 +533,11 @@ class Catalog:
             row = [sum(x[i] * m[i][j] for i in cols) for j in cols]
             out.append(tuple(sum(map(mul, row, y)) for y in self.roots))
         return tuple(out)
+
+    @cached_property
+    def cy3_kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer basis of the kernel of the antisymmetrized Euler form."""
+        return integer_kernel(euler_form_cy3(self.quiver))
 
     @cached_property
     def hom_table(self) -> tuple[tuple[int, ...], ...]:

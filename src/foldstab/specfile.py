@@ -183,6 +183,8 @@ def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
             try:
                 elems.append(element(t))
             except ValueError:
+                if re.fullmatch(r"[+-]?\d+", t):
+                    raise InputError(f"{kind}: integer literal is too long") from None
                 raise InputError(f"{kind}: {t!r} is not an integer") from None
         for e in elems:
             if e not in mapping:

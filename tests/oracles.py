@@ -7,7 +7,9 @@ cokernels of matrix maps) instead of class arithmetic, interval hearts by
 exhaustive filtering of Hom/Ext tables computed on matrices instead of
 breadth-first tilting, the folded exchange graph by trying every tilt
 order by hand, and Coxeter lengths, descents and the longest element by
-enumerating the Weyl group instead of sign tests on roots.
+enumerating the Weyl group instead of sign tests on roots, and stability
+cells by solving both strict systems of every real-axis branch instead of
+one chain of LPs.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from foldstab.braid import IntMatrix, _identity, _mul
+from foldstab.cells import BranchCertificate, CellClassification, _branches, _unit_row
 from foldstab.errors import InternalError
 from foldstab.hearts import Heart, make_heart, seed_heart
 from foldstab.quiver import Quiver
+from foldstab.ratlp import Infeasibility, Row, solve_strict_system
 from foldstab.reps import (
     Catalog,
     Representation,
@@ -305,3 +309,30 @@ class EnumeratedCoxeterSystem:
             letters.append(s)
             w = _mul(self.gens[s], w)
         return tuple(letters)
+
+
+def branch_classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
+    """Classify a cell by trying every real-axis branch in `_branches` order.
+
+    The first branch whose imaginary and real systems are both solvable
+    gives the witness; otherwise each branch keeps the certificate of
+    whichever of its two systems was found infeasible first.
+    """
+    certs = []
+    for real_axis in _branches(n):
+        pinned = set(real_axis)
+        y_eq = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
+        y_pos = tuple(_unit_row(n, j) for j in range(n) if j not in pinned)
+        y_res = solve_strict_system(y_eq, y_pos, n)
+        if isinstance(y_res, Infeasibility):
+            certs.append(BranchCertificate(real_axis, "im", y_res))
+            continue
+        x_eq = tuple(constraints)
+        x_pos = tuple(_unit_row(n, j) for j in real_axis)
+        x_res = solve_strict_system(x_eq, x_pos, n)
+        if isinstance(x_res, Infeasibility):
+            certs.append(BranchCertificate(real_axis, "re", x_res))
+            continue
+        witness = tuple((x, y) for x, y in zip(x_res.point, y_res.point))
+        return CellClassification(True, witness, None)
+    return CellClassification(False, None, tuple(certs))

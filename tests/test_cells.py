@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
+import pytest
+
+from foldstab import cells
 from foldstab.cells import (
+    CellClassification,
     classify_cell,
     f_constraint_rows,
     f_constraints,
@@ -16,6 +23,10 @@ from foldstab.cells import (
 )
 from foldstab.hearts import build_interval_eg, heart_label, is_f_stable, seed_heart
 from foldstab.quiver import euler_form_cy3, fold, integer_kernel
+from foldstab.ratlp import solve_strict_system
+from foldstab.reps import Catalog
+from foldstab.specfile import parse_quiver
+from oracles import branch_classify_cell
 
 F = Fraction
 
@@ -116,8 +127,6 @@ def test_verify_rejects_tampering(cat_a3) -> None:
     seed = seed_heart(cat_a3)
     rows = numerical_constraints(cat_a3, seed)
     cls = classify_cell(rows, 3)
-    from foldstab.cells import CellClassification
-
     bad = CellClassification(True, ((F(1), F(1)), (F(1), F(1)), (F(2), F(1))), None)
     assert not verify_classification(rows, bad, 3)
     off_plane = CellClassification(True, ((F(0), F(0)),) * 3, None)
@@ -170,3 +179,99 @@ def test_unfold_splits_evenly(q_d4, rot_d4) -> None:
             sizes[v] = len(ov.members)
     for v, z in zip(q_d4.vertices, charge):
         assert z == (F(3, sizes[v]), F(6, sizes[v]))
+
+
+# ---------------------------------------------------------------- the chain classifier
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@cache
+def _fixture(name: str):
+    q, s = parse_quiver((SPECS / f"{name}.toml").read_text(encoding="utf-8"))
+    catalog = Catalog(q)
+    return catalog, s, build_interval_eg(catalog).hearts
+
+
+def _cells(name: str, family: str):
+    """(constraints, n) of every heart of a fixture, for one constraint family."""
+    catalog, s, hearts = _fixture(name)
+    for heart in hearts:
+        if family == "numerical":
+            rows = numerical_constraints(catalog, heart)
+        else:
+            rows = f_constraints(catalog, s, heart)
+        yield rows, len(heart.simples)
+
+
+def _shape(cls: CellClassification):
+    count = None if cls.certificates is None else len(cls.certificates)
+    return cls.feasible, cls.witness, count
+
+
+@pytest.mark.parametrize(
+    "name,family",
+    [
+        (name, family)
+        for name in ("a3_flip", "d4_swap", "d4_triality", "a5_flip")
+        for family in ("numerical", "f")
+    ]
+    + [("e6_fold", "numerical")],
+)
+def test_chain_agrees_with_branch_oracle(name, family) -> None:
+    oracle = {}
+    for rows, n in _cells(name, family):
+        cls = classify_cell(rows, n)
+        assert verify_classification(rows, cls, n)
+        if (rows, n) not in oracle:
+            oracle[rows, n] = _shape(branch_classify_cell(rows, n))
+        assert _shape(cls) == oracle[rows, n]
+
+
+@pytest.mark.parametrize("name,family", [("a3_flip", "numerical"), ("d4_swap", "numerical")])
+def test_verify_rejects_tampered_branch_certificates(name, family) -> None:
+    classified = ((rows, n, classify_cell(rows, n)) for rows, n in _cells(name, family))
+    empty = [cell for cell in classified if not cell[2].feasible]
+    assert empty
+    for k, (rows, n, cls) in enumerate(empty):
+        certs = list(cls.certificates)
+        assert len(certs) == 2**n
+        i = k % len(certs)
+        lam = list(certs[i].certificate.positive_multipliers)
+        j = max(range(len(lam)), key=lam.__getitem__)
+        lam[j] = -lam[j]
+        negated = replace(
+            certs[i], certificate=replace(certs[i].certificate, positive_multipliers=tuple(lam))
+        )
+        im = next(c for c in certs if c.axis == "im")
+        for tampered in (
+            certs[:i] + [negated] + certs[i + 1 :],
+            certs[:i] + certs[i + 1 :],
+            [replace(c, axis="re") if c is im else c for c in certs],
+        ):
+            assert not verify_classification(rows, replace(cls, certificates=tuple(tampered)), n)
+
+
+@pytest.mark.parametrize("name,family", [("d4_swap", "numerical"), ("a5_flip", "f")])
+def test_chain_costs_at_most_n_plus_2_solves(name, family, monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_strict_system(*args)
+
+    monkeypatch.setattr(cells, "solve_strict_system", counted)
+    costs = []
+    for rows, n in _cells(name, family):
+        calls.clear()
+        classify_cell(rows, n)
+        assert len(calls) <= n + 2
+        costs.append(len(calls))
+    # two infeasible chain steps, the solvable imaginary system and the real one
+    assert max(costs) == 4
+
+
+def test_unconstrained_cell_runs_no_lp(monkeypatch) -> None:
+    monkeypatch.setattr(cells, "solve_strict_system", None)
+    for n in range(1, 7):
+        assert classify_cell((), n) == CellClassification(True, ((F(0), F(1)),) * n, None)

@@ -1,7 +1,9 @@
 """Fuzz the CLI exit-code contract on mutated spec fixtures.
 
 Every input, however malformed, must end in exit code 0, 2, 3 or 4; a
-traceback (an exception escaping ``main``) is a bug.  The mutants are the
+traceback (an exception escaping ``main``) is a bug.  ``fold`` runs on many
+mutants; ``eg``, ``classify`` and ``braid --check`` run on fewer, because a
+mutant that stays a valid fold classifies every cell.  The mutants are the
 `specs/` fixtures with lines dropped or duplicated and tokens replaced by
 other tokens of the fixtures.  The search is derandomized so the suite stays
 deterministic.
@@ -56,3 +58,14 @@ def spec_path(tmp_path_factory) -> Path:
 def test_fold_exit_codes_on_mutated_specs(spec_path, text) -> None:
     spec_path.write_text(text, encoding="utf-8")
     assert main(["fold", str(spec_path)]) in {0, 2, 3, 4}
+
+
+COMMANDS = (("eg",), ("classify",), ("braid", "--check", "1 2 1 = 2 1 2"))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(text=mutated_specs())
+def test_command_exit_codes_on_mutated_specs(spec_path, text) -> None:
+    spec_path.write_text(text, encoding="utf-8")
+    for command, *options in COMMANDS:
+        assert main([command, str(spec_path), *options]) in {0, 2, 3, 4}

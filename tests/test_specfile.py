@@ -166,3 +166,18 @@ def test_overlong_arrow_endpoint_is_positioned_error() -> None:
     with pytest.raises(SpecParseError, match="bad arrow 'a': vertex id is too long") as info:
         parse_quiver(text)
     assert (info.value.line, info.value.column) == (3, 11)
+
+
+def test_overlong_vertex_perm_token_reports_too_long(tmp_path, capsys) -> None:
+    from foldstab.cli import main
+
+    text = (
+        '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
+        '[automorphism]\nvertex_perm = "(1 ' + "1" * 5000 + ')"\n'
+    )
+    with pytest.raises(InputError, match=r"^vertex_perm: integer literal is too long$"):
+        parse_quiver(text)
+    spec = tmp_path / "long_perm.toml"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["fold", str(spec)]) == 2
+    assert "1" * 100 not in capsys.readouterr().err

@@ -1,10 +1,11 @@
 """Garside normal forms for Artin braid groups of finite Coxeter systems.
 
 Elements of the Coxeter group are integer matrices in the reflection
-representation attached to a crystallographic Cartan matrix.  The group is
-never enumerated: descents are sign tests on roots (Bjorner-Brenti, GTM 231,
-section 4.4), the longest element is a greedy product of generators, and the
-group order comes from the heights of the positive roots.  Braid words
+representation attached to a crystallographic Cartan matrix (for a quiver,
+`quiver.cartan_matrix` in Dynkin order).  The group is never enumerated:
+descents are sign tests on the roots of `quiver.positive_roots` (Bjorner-
+Brenti, GTM 231, section 4.4), the longest element is a greedy product of
+generators, and the group order comes from the root heights.  Braid words
 (letters are generators or their inverses) are put into left-greedy normal
 form Delta^k x_1 ... x_r; two words are equal in the braid group exactly
 when their normal forms coincide.
@@ -15,39 +16,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError, UnsupportedTypeError
+from .errors import InputError, UnsupportedTypeError, quote
+from .linalg import IntMatrix, int_identity, mat_mul
 from .quiver import (
     Automorphism,
     Quiver,
+    cartan_matrix,
     dynkin_type,
     fold,
     folded_coxeter_exponents,
+    positive_roots,
     valued_type_name,
 )
-
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def cartan_from_quiver(q: Quiver, order: tuple[int, ...]) -> IntMatrix:
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a in q.arrows:
-        i, j = pos[a.tail], pos[a.head]
-        c[i][j] -= 1
-        c[j][i] -= 1
-    return tuple(tuple(row) for row in c)
-
 
 def cartan_for_type(family: str, rank: int) -> IntMatrix:
     """Standard crystallographic Cartan matrices, short roots at the high end."""
@@ -96,30 +76,6 @@ def cartan_for_type(family: str, rank: int) -> IntMatrix:
     return tuple(tuple(row) for row in c)
 
 
-def _positive_roots(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Positive roots in the simple-root basis.
-
-    Every positive root is reached from a simple root by reflections s_i that
-    raise the height, i.e. where <alpha_i^v, beta> < 0.
-    """
-    n = len(cartan)
-    simple = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = simple
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i, row in enumerate(cartan):
-                k = sum(c * b for c, b in zip(row, beta))
-                if k < 0:
-                    gamma = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
-                    if gamma not in roots:
-                        roots.add(gamma)
-                        nxt.append(gamma)
-        frontier = nxt
-    return tuple(sorted(roots))
-
-
 class CoxeterSystem:
     """A finite Coxeter group in its reflection representation.
 
@@ -141,8 +97,8 @@ class CoxeterSystem:
                 m[i][j] -= cartan[i][j]
             gens.append(tuple(tuple(row) for row in m))
         self.gens: tuple[IntMatrix, ...] = tuple(gens)
-        self.identity = _identity(n)
-        roots = _positive_roots(cartan)
+        self.identity = int_identity(n)
+        roots = positive_roots(cartan)
         self._two_rho = tuple(map(sum, zip(*roots)))
         # Roots by height form the partition dual to the exponents m_i
         # (Kostant), and |W| is the product of the degrees m_i + 1.
@@ -155,25 +111,21 @@ class CoxeterSystem:
             up = next((s for s, col in enumerate(zip(*w)) if sum(col) > 0), None)
             if up is None:
                 break
-            w = _mul(w, self.gens[up])
+            w = mat_mul(w, self.gens[up])
         self.w0: IntMatrix = w
 
     @classmethod
     def from_quiver(cls, q: Quiver) -> tuple["CoxeterSystem", dict[int, int]]:
         """System of the underlying Dynkin diagram plus vertex -> slot map."""
         _, _, order = dynkin_type(q)
-        system = cls(cartan_from_quiver(q, order))
+        c = cartan_matrix(q)
+        idx = [q.vertex_index[v] for v in order]
+        system = cls(tuple(tuple(c[i][j] for j in idx) for i in idx))
         return system, {v: i for i, v in enumerate(order)}
 
     @classmethod
     def from_type(cls, family: str, rank: int) -> "CoxeterSystem":
         return cls(cartan_for_type(family, rank))
-
-    def mul(self, *ws: IntMatrix) -> IntMatrix:
-        out = self.identity
-        for w in ws:
-            out = _mul(out, w)
-        return out
 
     def left_descents(self, w: IntMatrix) -> tuple[int, ...]:
         w_rho = [sum(x * y for x, y in zip(row, self._two_rho)) for row in w]
@@ -186,14 +138,14 @@ class CoxeterSystem:
 
     def tau(self, w: IntMatrix) -> IntMatrix:
         """Conjugation by the longest element; an involution on simples."""
-        return _mul(_mul(self.w0, w), self.w0)
+        return mat_mul(mat_mul(self.w0, w), self.w0)
 
     def reduced_word(self, w: IntMatrix) -> tuple[int, ...]:
         letters = []
         while w != self.identity:
             s = min(self.left_descents(w))
             letters.append(s)
-            w = _mul(self.gens[s], w)
+            w = mat_mul(self.gens[s], w)
         return tuple(letters)
 
 
@@ -219,8 +171,8 @@ def _renormalize(system: CoxeterSystem, factors: list[IntMatrix]) -> list[IntMat
                 move = next((s for s in system.left_descents(y) if s not in right), None)
                 if move is None:
                     break
-                x = _mul(x, system.gens[move])
-                y = _mul(system.gens[move], y)
+                x = mat_mul(x, system.gens[move])
+                y = mat_mul(system.gens[move], y)
                 changed = True
             factors[i], factors[i + 1] = x, y
         factors = [f for f in factors if f != system.identity]
@@ -243,7 +195,7 @@ def normal_form(system: CoxeterSystem, word) -> GarsideNF:
         elif exp == -1:
             power -= 1
             factors = [system.tau(f) for f in factors]
-            comp = _mul(system.w0, g)
+            comp = mat_mul(system.w0, g)
             if comp != system.identity:
                 factors.append(comp)
         else:
@@ -267,7 +219,7 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
         try:
             slot, exp = int(base), (int(e) if caret else 1)
         except ValueError:
-            raise InputError(f"bad braid letter {tok!r}") from None
+            raise InputError(f"bad braid letter {quote(tok)}") from None
         if slot < 1:
             raise InputError("generators are numbered from 1")
         sign = 1 if exp > 0 else -1

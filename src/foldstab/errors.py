@@ -7,6 +7,15 @@ InternalError -> 4.
 from __future__ import annotations
 
 
+def quote(token: str | int, limit: int = 40) -> str:
+    """repr(token) for an error message; a longer token is cut to its first
+    `limit` characters and '...', so a huge input token cannot flood stderr."""
+    text = str(token)
+    if len(text) <= limit:
+        return repr(token)
+    return (repr(text[:limit]) if isinstance(token, str) else text[:limit]) + "..."
+
+
 class FoldstabError(Exception):
     """Base class for all package errors."""
 

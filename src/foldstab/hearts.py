@@ -168,26 +168,33 @@ class ExchangeGraph:
         return self.hearts.index(heart)
 
 
-def build_interval_eg(catalog: Catalog) -> ExchangeGraph:
-    """Breadth-first enumeration of the shift-{0,1} hearts from the seed."""
-    seed = seed_heart(catalog)
+def _walk(seed: Heart, moves) -> tuple[tuple[Heart, ...], tuple]:
+    """Breadth-first closure of seed under moves(heart) -> (label, heart) pairs.
+
+    Hearts get ids in discovery order, and each edge is (source id, label,
+    target id) in the order the moves were tried.
+    """
     ids = {seed: 0}
     hearts = [seed]
     edges = []
-    queue = [0]
-    while queue:
-        hid = queue.pop(0)
-        heart = hearts[hid]
-        for pos, (_, shift) in enumerate(heart.simples):
-            if shift != 0:
-                continue
-            new = tilt_forward(catalog, heart, pos)
+    for hid, heart in enumerate(hearts):  # hearts grows as the walk goes
+        for label, new in moves(heart):
             if new not in ids:
                 ids[new] = len(hearts)
                 hearts.append(new)
-                queue.append(ids[new])
-            edges.append((hid, pos, ids[new]))
-    return ExchangeGraph(tuple(hearts), tuple(edges))
+            edges.append((hid, label, ids[new]))
+    return tuple(hearts), tuple(edges)
+
+
+def build_interval_eg(catalog: Catalog) -> ExchangeGraph:
+    """Breadth-first enumeration of the shift-{0,1} hearts from the seed."""
+
+    def moves(heart: Heart):
+        for pos, (_, shift) in enumerate(heart.simples):
+            if shift == 0:
+                yield pos, tilt_forward(catalog, heart, pos)
+
+    return ExchangeGraph(*_walk(seed_heart(catalog), moves))
 
 
 def transport_heart(perm: tuple[int, ...], heart: Heart) -> Heart:
@@ -263,23 +270,13 @@ def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> FoldedEG:
     seed = seed_heart(catalog)
     if not is_f_stable(perm, seed):
         raise InternalError("seed heart is not stable")
-    ids = {seed: 0}
-    hearts = [seed]
-    edges = []
-    queue = [0]
-    while queue:
-        hid = queue.pop(0)
-        heart = hearts[hid]
+
+    def moves(heart: Heart):
         for orbit in f_orbits_of_heart(perm, heart):
-            if any(heart.simples[p][1] != 0 for p in orbit):
-                continue
-            new = orbit_tilt(catalog, perm, heart, orbit)
-            if new not in ids:
-                ids[new] = len(hearts)
-                hearts.append(new)
-                queue.append(ids[new])
-            edges.append((hid, orbit, ids[new]))
-    return FoldedEG(tuple(hearts), tuple(edges))
+            if all(heart.simples[p][1] == 0 for p in orbit):
+                yield orbit, orbit_tilt(catalog, perm, heart, orbit)
+
+    return FoldedEG(*_walk(seed, moves))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ member (numerically for vertices, lexicographically for arrow names).
 
 Euler forms live on the free abelian group over the vertices, in sorted
 vertex order: the hereditary form is delta_ij minus the arrow count i -> j,
-and the CY3 form is its antisymmetrization.
+the CY3 form is its antisymmetrization, and the Cartan matrix its
+symmetrization.  `positive_roots` closes a finite-type Cartan matrix (of any
+crystallographic type) into its roots; catalog and Coxeter systems share it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AdmissibilityError, InputError, UnsupportedTypeError
+from .errors import AdmissibilityError, InputError, UnsupportedTypeError, quote
 from .linalg import IntMatrix, IntVector, integer_left_kernel
 
 
@@ -47,7 +49,7 @@ class Quiver:
         vs = set(self.vertices)
         for a in self.arrows:
             if a.tail not in vs or a.head not in vs:
-                raise InputError(f"arrow {a.name!r} uses an undeclared vertex")
+                raise InputError(f"arrow {quote(a.name)} uses an undeclared vertex")
         if self._has_cycle():
             raise InputError("quiver must be acyclic")
 
@@ -126,7 +128,7 @@ class Automorphism:
             img = q.arrow_by_name[img_name]
             if img.tail != self.vertex(a.tail) or img.head != self.vertex(a.head):
                 raise InputError(
-                    f"arrow permutation is incompatible: {a.name!r} -> {img_name!r} "
+                    f"arrow permutation is incompatible: {quote(a.name)} -> {quote(img_name)} "
                     "does not match the vertex permutation"
                 )
 
@@ -152,9 +154,6 @@ class Automorphism:
     @cached_property
     def arrow_orbits(self) -> tuple[tuple[str, ...], ...]:
         return _orbits(tuple(a.name for a in self.quiver.arrows), self.arrow)
-
-    def vertex_orbit_of(self, v: int) -> tuple[int, ...]:
-        return next(o for o in self.vertex_orbits if v in o)
 
     def is_admissible(self) -> bool:
         orbit_of = {v: o for o in self.vertex_orbits for v in o}
@@ -209,12 +208,6 @@ class ValuedQuiver:
     vertices: tuple[OrbitVertex, ...]
     arrows: tuple[OrbitArrow, ...]
 
-    def vertex_sizes(self) -> tuple[int, ...]:
-        return tuple(o.size for o in self.vertices)
-
-    def orbit_of_vertex(self, v: int) -> OrbitVertex:
-        return next(o for o in self.vertices if v in o.members)
-
 
 def fold(q: Quiver, s: Automorphism) -> ValuedQuiver:
     """Fold q along an admissible automorphism.
@@ -227,7 +220,7 @@ def fold(q: Quiver, s: Automorphism) -> ValuedQuiver:
     for a in q.arrows:
         if orbit_of[a.tail] is orbit_of[a.head]:
             raise AdmissibilityError(
-                f"arrow {a.name!r} joins vertices {a.tail} and {a.head} of one orbit"
+                f"arrow {quote(a.name)} joins vertices {a.tail} and {a.head} of one orbit"
             )
     overts = tuple(OrbitVertex(o[0], o) for o in s.vertex_orbits)
     oarrs = []
@@ -272,6 +265,36 @@ def euler_form_cy3(q: Quiver) -> BilinearForm:
         tuple(h.matrix[i][j] - h.matrix[j][i] for j in range(n)) for i in range(n)
     )
     return BilinearForm(h.basis, m)
+
+
+def cartan_matrix(q: Quiver) -> IntMatrix:
+    """Symmetric Cartan matrix chi + chi^T of the underlying graph, on sorted vertices."""
+    m = euler_form_hereditary(q).matrix
+    return tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(m, zip(*m)))
+
+
+def positive_roots(cartan: IntMatrix) -> tuple[IntVector, ...]:
+    """Sorted positive roots of a finite-type Cartan matrix, in the simple-root basis.
+
+    Every positive root is reached from a simple root by reflections s_i that
+    raise the height, i.e. where <alpha_i^v, beta> < 0.
+    """
+    n = len(cartan)
+    simple = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    roots = set(simple)
+    frontier = simple
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i, row in enumerate(cartan):
+                k = sum(c * b for c, b in zip(row, beta))
+                if k < 0:
+                    gamma = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+                    if gamma not in roots:
+                        roots.add(gamma)
+                        nxt.append(gamma)
+        frontier = nxt
+    return tuple(sorted(roots))
 
 
 def integer_kernel(form: BilinearForm) -> tuple[IntVector, ...]:

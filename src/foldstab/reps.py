@@ -5,7 +5,8 @@ arrow.  Everything here is exact: matrices have Fraction entries and all
 dimensions (Hom, Ext, kernels, cokernels) come from exact linear algebra.
 
 The catalog of a Dynkin quiver holds one indecomposable per positive root
-and works on the roots alone: its Hom and Ext tables come from the Euler
+and works on the roots alone: the roots are `quiver.positive_roots` of the
+quiver's Cartan matrix, and the Hom and Ext tables come from the Euler
 form.  The matrix code stays as an independent oracle.  Each matrix brick is
 built with pseudo-random small integer entries and certified by an
 endomorphism check (End = k); a brick whose dimension vector is a root is the
@@ -25,10 +26,12 @@ from .linalg import Matrix, kernel_basis, mat_vec, rank, rref, solve
 from .quiver import (
     Automorphism,
     Quiver,
+    cartan_matrix,
     dynkin_type,
     euler_form_cy3,
     euler_form_hereditary,
     integer_kernel,
+    positive_roots,
 )
 
 _ZERO = Fraction(0)
@@ -60,9 +63,6 @@ class Representation:
     @property
     def total(self) -> int:
         return sum(self.dims)
-
-    def dim_at(self, v: int) -> int:
-        return self.dims[self.quiver.vertex_index[v]]
 
     def is_zero(self) -> bool:
         return self.total == 0
@@ -405,30 +405,6 @@ def transport(r: Representation, s: Automorphism) -> Representation:
     return Representation(q, tuple(dims), tuple(maps))
 
 
-def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
-    """All positive roots, by closing the simples under simple reflections."""
-    n = len(q.vertices)
-    adj = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        i, j = q.vertex_index[a.tail], q.vertex_index[a.head]
-        adj[i][j] += 1
-        adj[j][i] += 1
-    seen: set[tuple[int, ...]] = set()
-    frontier = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(n):
-                pairing = 2 * x[i] - sum(adj[i][j] * x[j] for j in range(n))
-                y = tuple(x[j] - pairing if j == i else x[j] for j in range(n))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return [r for r in seen if all(c >= 0 for c in r) and any(c > 0 for c in r)]
-
-
 def _catalog_sort_key(q: Quiver, d: tuple[int, ...]):
     support = min(i for i, c in enumerate(d) if c)
     return (support, sum(d), d)
@@ -499,7 +475,7 @@ class Catalog:
     def __init__(self, q: Quiver):
         self.quiver = q
         dynkin_type(q)  # reflection closure only terminates for finite type
-        roots = sorted(positive_roots(q), key=lambda d: _catalog_sort_key(q, d))
+        roots = sorted(positive_roots(cartan_matrix(q)), key=lambda d: _catalog_sort_key(q, d))
         if len(roots) > 120:
             raise UnsupportedTypeError("catalog too large; quiver is not small Dynkin")
         self.roots: tuple[tuple[int, ...], ...] = tuple(roots)

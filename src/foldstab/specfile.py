@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import InputError, SpecParseError
+from .errors import InputError, SpecParseError, quote
 from .quiver import Automorphism, Quiver
 
 _ARROW_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(-?\d+)\s*->\s*(-?\d+)\s*$")
@@ -137,7 +137,7 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple]]:
             if not line.at_end():
                 line.error("trailing characters after section header")
             if name not in _SCHEMA:
-                line.error(f"unknown section {name!r}", 0)
+                line.error(f"unknown section {quote(name)}", 0)
             if name in sections:
                 line.error(f"duplicate section {name!r}", 0)
             sections[name] = {}
@@ -148,7 +148,7 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple]]:
         if current is None:
             line.error("entry before any section header", col)
         if key not in _SCHEMA[current]:
-            line.error(f"unknown key {key!r} in section [{current}]", col)
+            line.error(f"unknown key {quote(key)} in section [{current}]", col)
         if key in sections[current]:
             line.error(f"duplicate key {key!r}", col)
         line.expect("=")
@@ -185,12 +185,12 @@ def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
             except ValueError:
                 if re.fullmatch(r"[+-]?\d+", t):
                     raise InputError(f"{kind}: integer literal is too long") from None
-                raise InputError(f"{kind}: {t!r} is not an integer") from None
+                raise InputError(f"{kind}: {quote(t)} is not an integer") from None
         for e in elems:
             if e not in mapping:
-                raise InputError(f"{kind}: {e!r} is not declared")
+                raise InputError(f"{kind}: {quote(e)} is not declared")
             if mapping[e] != e:
-                raise InputError(f"{kind}: {e!r} appears in two cycles")
+                raise InputError(f"{kind}: {quote(e)} appears in two cycles")
         for a, b in zip(elems, elems[1:] + elems[:1]):
             mapping[a] = b
     touched = [x for x in universe if mapping[x] != x]
@@ -207,11 +207,11 @@ def _infer_arrow_images(q: Quiver, vmap: dict[int, int]) -> list[str]:
         ]
         if not candidates:
             raise InputError(
-                f"vertex permutation is not a quiver automorphism: no image for arrow {a.name!r}"
+                f"vertex permutation is not a quiver automorphism: no image for arrow {quote(a.name)}"
             )
         if len(candidates) > 1:
             raise InputError(
-                f"arrow permutation is ambiguous at {a.name!r} (parallel arrows); "
+                f"arrow permutation is ambiguous at {quote(a.name)} (parallel arrows); "
                 "add an explicit arrow_perm"
             )
         images.append(candidates[0])
@@ -241,13 +241,13 @@ def parse_quiver(text: str) -> tuple[Quiver, Automorphism | None]:
             m = _ARROW_RE.match(s)
             if not m:
                 raise SpecParseError(
-                    f"bad arrow {s!r}, expected 'name: tail -> head'", aline, col
+                    f"bad arrow {quote(s)}, expected 'name: tail -> head'", aline, col
                 )
             try:
                 arrows.append((m.group(1), int(m.group(2)), int(m.group(3))))
             except ValueError:
                 raise SpecParseError(
-                    f"bad arrow {m.group(1)!r}: vertex id is too long", aline, col
+                    f"bad arrow {quote(m.group(1))}: vertex id is too long", aline, col
                 ) from None
         names = [a[0] for a in arrows]
         if len(set(names)) != len(names):

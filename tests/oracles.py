@@ -17,10 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from foldstab.braid import IntMatrix, _identity, _mul
 from foldstab.cells import BranchCertificate, CellClassification, _branches, _unit_row
 from foldstab.errors import InternalError
 from foldstab.hearts import Heart, make_heart, seed_heart
+from foldstab.linalg import IntMatrix, int_identity, mat_mul
 from foldstab.quiver import Quiver
 from foldstab.ratlp import Infeasibility, Row, solve_strict_system
 from foldstab.reps import (
@@ -267,7 +267,7 @@ class EnumeratedCoxeterSystem:
             )
             for i in range(n)
         )
-        self.identity = _identity(n)
+        self.identity = int_identity(n)
         lengths = {self.identity: 0}
         frontier = [self.identity]
         depth = 0
@@ -276,7 +276,7 @@ class EnumeratedCoxeterSystem:
             nxt = []
             for w in frontier:
                 for g in self.gens:
-                    u = _mul(g, w)
+                    u = mat_mul(g, w)
                     if u not in lengths:
                         lengths[u] = depth
                         nxt.append(u)
@@ -293,21 +293,21 @@ class EnumeratedCoxeterSystem:
 
     def left_descents(self, w: IntMatrix) -> tuple[int, ...]:
         lw = self.length[w]
-        return tuple(i for i, g in enumerate(self.gens) if self.length.get(_mul(g, w), lw + 1) < lw)
+        return tuple(i for i, g in enumerate(self.gens) if self.length.get(mat_mul(g, w), lw + 1) < lw)
 
     def right_descents(self, w: IntMatrix) -> tuple[int, ...]:
         lw = self.length[w]
-        return tuple(i for i, g in enumerate(self.gens) if self.length.get(_mul(w, g), lw + 1) < lw)
+        return tuple(i for i, g in enumerate(self.gens) if self.length.get(mat_mul(w, g), lw + 1) < lw)
 
     def tau(self, w: IntMatrix) -> IntMatrix:
-        return _mul(_mul(self.w0, w), self.w0)
+        return mat_mul(mat_mul(self.w0, w), self.w0)
 
     def reduced_word(self, w: IntMatrix) -> tuple[int, ...]:
         letters = []
         while w != self.identity:
             s = min(self.left_descents(w))
             letters.append(s)
-            w = _mul(self.gens[s], w)
+            w = mat_mul(self.gens[s], w)
         return tuple(letters)
 
 

@@ -21,6 +21,7 @@ from foldstab.braid import (
 )
 from foldstab.errors import InputError, UnsupportedTypeError
 from foldstab.quiver import euler_form_cy3
+from foldstab.specfile import parse_quiver
 
 
 def test_cartan_pins() -> None:
@@ -47,6 +48,17 @@ def test_from_quiver_slots(q_a3) -> None:
     system, slot_of = CoxeterSystem.from_quiver(q_a3)
     assert system.order == 24
     assert slot_of == {1: 0, 2: 1, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "spec, family, rank",
+    [("a3_flip", "A", 3), ("d4_swap", "D", 4), ("a5_flip", "A", 5), ("e6_fold", "E", 6)],
+)
+def test_from_quiver_cartan_is_in_dynkin_order(spec, family, rank) -> None:
+    path = Path(__file__).resolve().parent.parent / "specs" / f"{spec}.toml"
+    q, _ = parse_quiver(path.read_text(encoding="utf-8"))
+    system, _ = CoxeterSystem.from_quiver(q)
+    assert system.cartan == cartan_for_type(family, rank)
 
 
 def test_longest_element(q_a3) -> None:
@@ -192,8 +204,6 @@ def test_twist_preserves_pairing(cat_a3) -> None:
 
 
 def test_e6_fold_relations() -> None:
-    from foldstab.specfile import parse_quiver
-
     spec = Path(__file__).resolve().parent.parent / "specs" / "e6_fold.toml"
     with open(spec, encoding="utf-8") as fh:
         q, s = parse_quiver(fh.read())

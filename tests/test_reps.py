@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from foldstab.errors import UnsupportedTypeError
-from foldstab.quiver import Automorphism, Quiver, euler_form_hereditary
+from foldstab.quiver import Automorphism, Quiver, cartan_matrix, euler_form_hereditary, positive_roots
 from foldstab.reps import (
     Catalog,
     cy3_hom_dims,
@@ -13,7 +13,6 @@ from foldstab.reps import (
     extension_module,
     hom_dim,
     hom_space,
-    positive_roots,
     simple_rep,
     transport,
     universal_coextension,
@@ -26,7 +25,14 @@ from oracles import tits_positive_roots
 
 def test_positive_roots_match_tits_form(q_a2, q_a3, q_a5, q_d4, q_d5) -> None:
     for q in (q_a2, q_a3, q_a5, q_d4, q_d5):
-        assert set(positive_roots(q)) == tits_positive_roots(q)
+        assert set(positive_roots(cartan_matrix(q))) == tits_positive_roots(q)
+    # Highest-root coefficients reach 3 on E6 and 4 on E7.
+    e6 = Quiver.make(range(1, 7), [("a", 1, 2), ("b", 3, 2), ("c", 3, 4), ("d", 5, 4), ("e", 6, 3)])
+    e7 = Quiver.make(range(1, 8), [(f"a{i}", i, i + 1) for i in range(1, 6)] + [("b", 7, 3)])
+    for q, bound, count in ((e6, 3, 36), (e7, 4, 63)):
+        roots = positive_roots(cartan_matrix(q))
+        assert len(roots) == count
+        assert set(roots) == tits_positive_roots(q, bound)
 
 
 def test_catalog_sizes(cat_a2, cat_a3, cat_a5, cat_d4, cat_d5) -> None:

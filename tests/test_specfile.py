@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from foldstab.errors import InputError, SpecParseError
+from foldstab.errors import InputError, SpecParseError, quote
 from foldstab.specfile import parse_quiver
 
 
@@ -181,3 +181,37 @@ def test_overlong_vertex_perm_token_reports_too_long(tmp_path, capsys) -> None:
     spec.write_text(text, encoding="utf-8")
     assert main(["fold", str(spec)]) == 2
     assert "1" * 100 not in capsys.readouterr().err
+
+
+def test_quote_cuts_long_tokens() -> None:
+    assert quote("a" * 40) == repr("a" * 40)
+    assert quote("a" * 41) == repr("a" * 40) + "..."
+    assert quote(7) == "7"
+    assert quote(10**45) == "1" + "0" * 39 + "..."
+
+
+_LONG = "x" * 5000
+_CHAIN = '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _CHAIN + '[automorphism]\nvertex_perm = "(1 ' + _LONG + ')"\n',
+        _CHAIN + '[automorphism]\nvertex_perm = "(1 3)"\narrow_perm = "(a ' + _LONG + ')"\n',
+        '[quiver]\nvertices = [1, 2]\narrows = ["' + _LONG + '"]\n',
+        "[quiver]\nvertices = [1, 2]\n" + _LONG + " = 1\n",
+        "[" + _LONG + "]\n",
+        '[quiver]\nvertices = [1, 2]\narrows = ["' + _LONG + ': 1 -> 9"]\n',
+    ],
+    ids=["vertex_perm_integer", "arrow_perm_declared", "bad_arrow", "unknown_key", "unknown_section", "undeclared_vertex"],
+)
+def test_long_token_error_is_short(tmp_path, capsys, text) -> None:
+    from foldstab.cli import main
+
+    spec = tmp_path / "long_token.toml"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["fold", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "x" * 40 + "'..." in err
+    assert len(err.encode()) < 200

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, UnsupportedTypeError, quote
-from .linalg import IntMatrix, int_identity, mat_mul
+from .linalg import IntMatrix, int_identity, mat_mul, mat_vec
 from .quiver import (
     Automorphism,
     Quiver,
@@ -128,10 +128,8 @@ class CoxeterSystem:
         return cls(cartan_for_type(family, rank))
 
     def left_descents(self, w: IntMatrix) -> tuple[int, ...]:
-        w_rho = [sum(x * y for x, y in zip(row, self._two_rho)) for row in w]
-        return tuple(
-            s for s, row in enumerate(self.cartan) if sum(c * x for c, x in zip(row, w_rho)) < 0
-        )
+        w_rho = mat_vec(self.cartan, mat_vec(w, self._two_rho))
+        return tuple(s for s, x in enumerate(w_rho) if x < 0)
 
     def right_descents(self, w: IntMatrix) -> tuple[int, ...]:
         return tuple(s for s, col in enumerate(zip(*w)) if sum(col) < 0)
@@ -188,7 +186,7 @@ def normal_form(system: CoxeterSystem, word) -> GarsideNF:
     factors: list[IntMatrix] = []
     for slot, exp in word:
         if not 0 <= slot < system.rank:
-            raise InputError(f"generator slot {slot} out of range")
+            raise InputError(f"generator slot {quote(slot)} out of range")
         g = system.gens[slot]
         if exp == 1:
             factors.append(g)

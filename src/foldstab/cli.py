@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
 from .cells import classify_cell, fold_charge, numerical_constraints, verify_classification
-from .errors import InputError, InternalError, UnsupportedTypeError
+from .errors import InputError, InternalError, UnsupportedTypeError, quote
 from .hearts import (
     ExchangeGraph,
     FoldedEG,
@@ -277,7 +277,7 @@ def _braid_payload(a: Analysis, check: str | None) -> dict:
         rhs = parse_word(rhs_text)
         for slot, _ in lhs + rhs:
             if slot >= system.rank:
-                raise InputError(f"generator {slot + 1} out of range for {ambient}")
+                raise InputError(f"generator {quote(slot + 1)} out of range for {ambient}")
         nf_l = normal_form(system, lhs)
         nf_r = normal_form(system, rhs)
         return {

@@ -7,13 +7,13 @@ InternalError -> 4.
 from __future__ import annotations
 
 
-def quote(token: str | int, limit: int = 40) -> str:
+def quote(token: str | int) -> str:
     """repr(token) for an error message; a longer token is cut to its first
-    `limit` characters and '...', so a huge input token cannot flood stderr."""
+    40 characters and '...', so a huge input token cannot flood stderr."""
     text = str(token)
-    if len(text) <= limit:
+    if len(text) <= 40:
         return repr(token)
-    return (repr(text[:limit]) if isinstance(token, str) else text[:limit]) + "..."
+    return (repr(text[:40]) if isinstance(token, str) else text[:40]) + "..."
 
 
 class FoldstabError(Exception):

@@ -242,6 +242,9 @@ def test_braid_check_bad_letter(capsys) -> None:
     code, _, err = run_cli(capsys, "braid", A2, "--check", "1 = " + "y" * 5000)
     assert code == 2
     assert "y" * 40 + "'..." in err and len(err.encode()) < 200
+    code, _, err = run_cli(capsys, "braid", A2, "--check", "1 = " + "9" * 4000)
+    assert code == 2
+    assert "9" * 40 + "..." in err and len(err.encode()) < 200
 
 
 def test_report_json(capsys) -> None:

@@ -21,59 +21,17 @@ from .linalg import IntMatrix, int_identity, mat_mul, mat_vec
 from .quiver import (
     Automorphism,
     Quiver,
+    cartan_for_type,
     cartan_matrix,
     dynkin_type,
     fold,
-    folded_coxeter_exponents,
+    folded_cartan,
     positive_roots,
     valued_type_name,
 )
 
-def cartan_for_type(family: str, rank: int) -> IntMatrix:
-    """Standard crystallographic Cartan matrices, short roots at the high end."""
-    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def bond(i, j, down=1, up=1):
-        c[i][j] = -down
-        c[j][i] = -up
-
-    if family == "A":
-        for i in range(rank - 1):
-            bond(i, i + 1)
-    elif family in ("B", "C"):
-        if rank < 2:
-            raise UnsupportedTypeError(f"{family}{rank} is not a valid type")
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        if family == "B":
-            bond(rank - 2, rank - 1, down=2, up=1)
-        else:
-            bond(rank - 2, rank - 1, down=1, up=2)
-    elif family == "D":
-        if rank < 3:
-            raise UnsupportedTypeError(f"D{rank} is not a valid type")
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 3, rank - 1)
-    elif family == "E":
-        if rank not in (6, 7, 8):
-            raise UnsupportedTypeError(f"E{rank} is not a valid type")
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(2, rank - 1)
-    elif family == "F":
-        if rank != 4:
-            raise UnsupportedTypeError("only F4 exists")
-        bond(0, 1)
-        bond(1, 2, down=2, up=1)
-        bond(2, 3)
-    elif family == "G":
-        if rank != 2:
-            raise UnsupportedTypeError("only G2 exists")
-        bond(0, 1, down=3, up=1)
-    else:
-        raise UnsupportedTypeError(f"unknown family {family!r}")
-    return tuple(tuple(row) for row in c)
+# Coxeter exponent m of a pair of simples from the product c_ij * c_ji.
+_EXPONENT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
 class CoxeterSystem:
@@ -254,32 +212,35 @@ def verify_folded_relations(q: Quiver, s: Automorphism) -> tuple[tuple[RelationC
     """Check the folded braid relations inside the ambient braid group.
 
     For every pair of vertex orbits the folded exponent m is read off the
-    valued quiver; the two alternating products of m orbit generators must
-    agree.  Returns the per-pair results (with rendered normal forms) and
-    the folded type name.
+    product c_IJ c_JI of `folded_cartan`; the two alternating products of m
+    orbit generators must agree.  Returns the per-pair results (with
+    rendered normal forms) and the folded type name.
     """
     vq = fold(q, s)
-    exponents = folded_coxeter_exponents(vq)
+    c = folded_cartan(vq)
+    n = len(c)
+    try:
+        exponents = {(i, j): _EXPONENT[c[i][j] * c[j][i]] for i in range(n) for j in range(i + 1, n)}
+    except KeyError:
+        raise UnsupportedTypeError("fold is not of Dynkin shape") from None
     system, slot_of = CoxeterSystem.from_quiver(q)
     words = orbit_words(q, s, slot_of)
     checks = []
-    names = [ov.name for ov in vq.vertices]
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            m = exponents.get((min(a, b), max(a, b)), 2)
-            lhs: list[tuple[int, int]] = []
-            rhs: list[tuple[int, int]] = []
-            for k in range(m):
-                lhs.extend((slot, 1) for slot in words[a if k % 2 == 0 else b])
-                rhs.extend((slot, 1) for slot in words[b if k % 2 == 0 else a])
-            nf_l = normal_form(system, lhs)
-            nf_r = normal_form(system, rhs)
-            checks.append(
-                RelationCheck(
-                    str(a), str(b), m, nf_l == nf_r,
-                    render_nf(system, nf_l), render_nf(system, nf_r),
-                )
+    for (i, j), m in exponents.items():
+        a, b = vq.vertices[i].name, vq.vertices[j].name
+        lhs: list[tuple[int, int]] = []
+        rhs: list[tuple[int, int]] = []
+        for k in range(m):
+            lhs.extend((slot, 1) for slot in words[a if k % 2 == 0 else b])
+            rhs.extend((slot, 1) for slot in words[b if k % 2 == 0 else a])
+        nf_l = normal_form(system, lhs)
+        nf_r = normal_form(system, rhs)
+        checks.append(
+            RelationCheck(
+                str(a), str(b), m, nf_l == nf_r,
+                render_nf(system, nf_l), render_nf(system, nf_r),
             )
+        )
     return tuple(checks), valued_type_name(vq)
 
 

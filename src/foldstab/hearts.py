@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
-from .quiver import Automorphism
+from .quiver import Automorphism, cycles
 from .reps import Catalog
 
 Simple = tuple[int, int]
@@ -210,20 +210,8 @@ def f_orbits_of_heart(perm: tuple[int, ...], heart: Heart) -> tuple[tuple[int, .
     if not is_f_stable(perm, heart):
         raise InputError("heart is not stable under the automorphism")
     pos_of = {s: i for i, s in enumerate(heart.simples)}
-    seen: set[int] = set()
-    orbits = []
-    for start in range(len(heart.simples)):
-        if start in seen:
-            continue
-        orbit = []
-        p = start
-        while p not in seen:
-            seen.add(p)
-            orbit.append(p)
-            idx, shift = heart.simples[p]
-            p = pos_of[(perm[idx], shift)]
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    image = [pos_of[(perm[idx], shift)] for idx, shift in heart.simples]
+    return cycles(range(len(image)), image.__getitem__)
 
 
 def multi_tilt(catalog: Catalog, heart: Heart, positions: tuple[int, ...]) -> Heart:

@@ -12,6 +12,8 @@ vertex order: the hereditary form is delta_ij minus the arrow count i -> j,
 the CY3 form is its antisymmetrization, and the Cartan matrix its
 symmetrization.  `positive_roots` closes a finite-type Cartan matrix (of any
 crystallographic type) into its roots; catalog and Coxeter systems share it.
+A fold's valuation is read only through `folded_cartan`, its Cartan matrix in
+orbit coordinates, which `valued_type_name` matches against `cartan_for_type`.
 """
 
 from __future__ import annotations
@@ -149,18 +151,19 @@ class Automorphism:
     @cached_property
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits as sorted tuples, listed by least member."""
-        return _orbits(self.quiver.vertices, self.vertex)
+        return cycles(self.quiver.vertices, self.vertex)
 
     @cached_property
     def arrow_orbits(self) -> tuple[tuple[str, ...], ...]:
-        return _orbits(tuple(a.name for a in self.quiver.arrows), self.arrow)
+        return cycles(tuple(a.name for a in self.quiver.arrows), self.arrow)
 
     def is_admissible(self) -> bool:
         orbit_of = {v: o for o in self.vertex_orbits for v in o}
         return all(orbit_of[a.tail] is not orbit_of[a.head] for a in self.quiver.arrows)
 
 
-def _orbits(items, step):
+def cycles(items, step):
+    """Cycles of the permutation step on items, as sorted tuples listed by least member."""
     seen: set = set()
     orbits = []
     for x in items:
@@ -271,6 +274,69 @@ def cartan_matrix(q: Quiver) -> IntMatrix:
     """Symmetric Cartan matrix chi + chi^T of the underlying graph, on sorted vertices."""
     m = euler_form_hereditary(q).matrix
     return tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(m, zip(*m)))
+
+
+def cartan_for_type(family: str, rank: int) -> IntMatrix:
+    """Standard crystallographic Cartan matrices, short roots at the high end."""
+    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+    def bond(i, j, down=1, up=1):
+        c[i][j] = -down
+        c[j][i] = -up
+
+    if family == "A":
+        for i in range(rank - 1):
+            bond(i, i + 1)
+    elif family in ("B", "C"):
+        if rank < 2:
+            raise UnsupportedTypeError(f"{family}{rank} is not a valid type")
+        for i in range(rank - 2):
+            bond(i, i + 1)
+        if family == "B":
+            bond(rank - 2, rank - 1, down=2, up=1)
+        else:
+            bond(rank - 2, rank - 1, down=1, up=2)
+    elif family == "D":
+        if rank < 3:
+            raise UnsupportedTypeError(f"D{rank} is not a valid type")
+        for i in range(rank - 2):
+            bond(i, i + 1)
+        bond(rank - 3, rank - 1)
+    elif family == "E":
+        if rank not in (6, 7, 8):
+            raise UnsupportedTypeError(f"E{rank} is not a valid type")
+        for i in range(rank - 2):
+            bond(i, i + 1)
+        bond(2, rank - 1)
+    elif family == "F":
+        if rank != 4:
+            raise UnsupportedTypeError("only F4 exists")
+        bond(0, 1)
+        bond(1, 2, down=2, up=1)
+        bond(2, 3)
+    elif family == "G":
+        if rank != 2:
+            raise UnsupportedTypeError("only G2 exists")
+        bond(0, 1, down=3, up=1)
+    else:
+        raise UnsupportedTypeError(f"unknown family {family!r}")
+    return tuple(tuple(row) for row in c)
+
+
+def folded_cartan(vq: ValuedQuiver) -> IntMatrix:
+    """Cartan matrix of the fold, indexed like vq.vertices.
+
+    c_IJ = 2 delta_IJ - sum of |arrow orbit joining I and J| / |I|.  Each
+    such arrow orbit maps onto I, so the division is exact.
+    """
+    index = {o.name: i for i, o in enumerate(vq.vertices)}
+    n = len(vq.vertices)
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for oa in vq.arrows:
+        i, j = index[oa.tail], index[oa.head]
+        c[i][j] -= oa.size // vq.vertices[i].size
+        c[j][i] -= oa.size // vq.vertices[j].size
+    return tuple(tuple(row) for row in c)
 
 
 def positive_roots(cartan: IntMatrix) -> tuple[IntVector, ...]:
@@ -386,84 +452,33 @@ def _walk_path(q: Quiver, start: int) -> tuple[int, ...]:
         order.append(nxt[0])
 
 
-def folded_coxeter_exponents(vq: ValuedQuiver) -> dict[tuple[int, int], int]:
-    """Coxeter exponent m for each adjacent orbit pair, keyed by sorted names.
-
-    The symbol ratio p = |arrow orbit|^2 / (|tail orbit| * |head orbit|)
-    determines m: 1 -> 3, 2 -> 4, 3 -> 6.  Non-adjacent pairs (m = 2) are not
-    listed.  Raises UnsupportedTypeError when p falls outside that table or
-    two orbit arrows join the same pair.
-    """
-    size_of = {o.name: o.size for o in vq.vertices}
-    out: dict[tuple[int, int], int] = {}
-    for oa in vq.arrows:
-        key = (min(oa.tail, oa.head), max(oa.tail, oa.head))
-        num = oa.size * oa.size
-        den = size_of[oa.tail] * size_of[oa.head]
-        if key in out or num % den != 0 or num // den not in (1, 2, 3):
-            raise UnsupportedTypeError("fold is not of Dynkin shape")
-        out[key] = {1: 3, 2: 4, 3: 6}[num // den]
-    return out
-
-
 def valued_type_name(vq: ValuedQuiver) -> str | None:
-    """Name the fold when it matches a finite Coxeter pattern, else None.
+    """Name the fold by its folded Cartan matrix, or None if it is not of finite type.
 
-    Simply laced folds reuse the A/D/E classifier.  A path with one terminal
-    double bond is B (sizes 1,...,1,2) or C (sizes 2,...,2,1); ranks are
-    always the orbit count.  Rank 2 with a double bond is reported as B2, a
-    triple bond as G2, and the (1,1,2,2) middle-bond path of rank 4 as F4.
+    The orbit graph (one edge per nonzero off-diagonal entry) must pass
+    `dynkin_type`.  A simply laced fold keeps that name; any other must be a
+    path whose Cartan matrix, read along the path in either direction, is
+    `cartan_for_type` of B, C, F or G (tried in that order, so B2 wins over
+    C2).
     """
+    c = folded_cartan(vq)
+    names = [o.name for o in vq.vertices]
+    n = len(names)
+    edges = [(f"e{i}_{j}", names[i], names[j]) for i in range(n) for j in range(i + 1, n) if c[i][j]]
     try:
-        ms = folded_coxeter_exponents(vq)
+        family, rank, order = dynkin_type(Quiver.make(names, edges))
     except UnsupportedTypeError:
         return None
-    names = [o.name for o in vq.vertices]
-    size = {o.name: o.size for o in vq.vertices}
-    n = len(names)
-    adj: dict[int, list[int]] = {v: [] for v in names}
-    for u, w in ms:
-        adj[u].append(w)
-        adj[w].append(u)
-    if len(ms) != n - 1:
-        return None
-    seen = {names[0]}
-    stack = [names[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        return None
-
-    if all(m == 3 for m in ms.values()):
-        shape = Quiver.make(names, ((f"e{i}", u, w) for i, (u, w) in enumerate(sorted(ms))))
-        try:
-            family, rank, _ = dynkin_type(shape)
-        except UnsupportedTypeError:
-            return None
+    if all(c[i][j] in (0, -1) for i in range(n) for j in range(n) if i != j):
         return f"{family}{rank}"
-
-    if any(len(ws) > 2 for ws in adj.values()):
+    if family != "A":
         return None
-    ends = [v for v in names if len(adj[v]) == 1]
-    if n == 1 or len(ends) != 2:
-        return None
-    path = [min(ends)]
-    while len(path) < n:
-        path.append(next(w for w in adj[path[-1]] if len(path) < 2 or w != path[-2]))
-    bonds = [ms[(min(u, w), max(u, w))] for u, w in zip(path, path[1:])]
-
-    if n == 2:
-        return {4: "B2", 6: "G2"}.get(bonds[0])
-    for seq, labels in ((path, bonds), (path[::-1], bonds[::-1])):
-        if labels[:-1] == [3] * (n - 2) and labels[-1] == 4:
-            sizes = [size[v] for v in seq]
-            if sizes == [1] * (n - 1) + [2]:
-                return f"B{n}"
-            if sizes == [2] * (n - 1) + [1]:
-                return f"C{n}"
-        if n == 4 and labels == [3, 4, 3] and [size[v] for v in seq] == [1, 1, 2, 2]:
-            return "F4"
+    path = [names.index(v) for v in order]
+    along = [tuple(tuple(c[i][j] for j in seq) for i in seq) for seq in (path, path[::-1])]
+    for valued in "BCFG":
+        try:
+            if cartan_for_type(valued, n) in along:
+                return f"{valued}{n}"
+        except UnsupportedTypeError:
+            pass
     return None

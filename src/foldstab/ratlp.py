@@ -122,13 +122,6 @@ def solve_strict_system(
     else:
         null = [tuple(_ONE if i == j else _ZERO for j in range(nvars)) for i in range(nvars)]
     k = len(null)
-    if k == 0:
-        lam = tuple(_ONE if i == 0 else _ZERO for i in range(len(positives)))
-        mu = _solve_equality_multipliers(equalities, positives, lam)
-        cert = Infeasibility(lam, mu)
-        if not verify_infeasibility(equalities, positives, cert):
-            raise InternalError("infeasibility certificate failed verification")
-        return cert
     reduced = []
     for p in positives:
         reduced.append(tuple(sum(p[j] * n[j] for j in range(nvars)) for n in null))

@@ -50,6 +50,20 @@ def test_fold_table_variants(capsys) -> None:
     assert out.splitlines()[0] == "folded type: F4"
 
 
+def test_fold_names_disconnected_order4_cover(capsys, tmp_path) -> None:
+    # Two D4 stars swapped by an order-4 automorphism: its folded Cartan matrix is B3.
+    spec = tmp_path / "d4_double.toml"
+    spec.write_text(
+        "[quiver]\nvertices = [1, 2, 3, 4, 5, 6, 7, 8]\n"
+        'arrows = ["a: 2 -> 1", "b: 2 -> 3", "c: 2 -> 4", "e: 6 -> 5", "f: 6 -> 7", "g: 6 -> 8"]\n'
+        '[automorphism]\nvertex_perm = "(1 5)(2 6)(3 7 4 8)"\n',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "fold", str(spec))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "folded type: B3"
+
+
 def test_fold_identity_when_no_automorphism(capsys) -> None:
     code, out, _ = run_cli(capsys, "fold", A2)
     assert code == 0

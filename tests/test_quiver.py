@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
 from foldstab.errors import InputError, UnsupportedTypeError
@@ -10,11 +14,15 @@ from foldstab.quiver import (
     euler_form_cy3,
     euler_form_hereditary,
     fold,
+    folded_cartan,
     frobenius_on_k,
     frobenius_order,
     integer_kernel,
     valued_type_name,
 )
+from foldstab.specfile import parse_quiver
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_quiver_validation() -> None:
@@ -88,6 +96,105 @@ def test_fold_identity_keeps_type(q_a3: Quiver) -> None:
     vq = fold(q_a3, Automorphism.identity(q_a3))
     assert valued_type_name(vq) == "A3"
     assert all(o.size == 1 for o in vq.vertices)
+
+
+def test_folded_cartan_of_fixtures() -> None:
+    # Rows and columns follow vq.vertices: orbit {1 3} then {2}; {0} then {1 2 3}.
+    for spec, cartan in (("a3_flip", ((2, -1), (-2, 2))), ("d4_triality", ((2, -3), (-1, 2)))):
+        q, s = parse_quiver((SPECS / f"{spec}.toml").read_text(encoding="utf-8"))
+        assert folded_cartan(fold(q, s)) == cartan
+
+
+# Two copies of a Dynkin quiver, swapped by an order-4 automorphism whose
+# square is a diagram automorphism of each copy.
+DOUBLE_COVERS = [
+    pytest.param(
+        8,
+        ["a: 2 -> 1", "b: 2 -> 3", "c: 2 -> 4", "e: 6 -> 5", "f: 6 -> 7", "g: 6 -> 8"],
+        "(1 5)(2 6)(3 7 4 8)",
+        "B3",
+        id="2xD4",
+    ),
+    pytest.param(
+        10,
+        ["a: 1 -> 2", "b: 2 -> 3", "c: 4 -> 3", "d: 5 -> 4"]
+        + ["e: 6 -> 7", "f: 7 -> 8", "g: 9 -> 8", "h: 10 -> 9"],
+        "(1 6 5 10)(2 7 4 9)(3 8)",
+        "C3",
+        id="2xA5",
+    ),
+    pytest.param(
+        12,
+        ["a: 1 -> 2", "b: 2 -> 3", "c: 4 -> 3", "d: 5 -> 4", "e: 6 -> 3"]
+        + ["f: 7 -> 8", "g: 8 -> 9", "h: 10 -> 9", "i: 11 -> 10", "j: 12 -> 9"],
+        "(1 7 5 11)(2 8 4 10)(3 9)(6 12)",
+        "F4",
+        id="2xE6",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, arrows, vertex_perm, name", DOUBLE_COVERS)
+def test_fold_names_disconnected_order4_cover(n, arrows, vertex_perm, name) -> None:
+    spec = (
+        f"[quiver]\nvertices = {list(range(1, n + 1))}\narrows = {json.dumps(arrows)}\n"
+        f'[automorphism]\nvertex_perm = "{vertex_perm}"\n'
+    )
+    q, s = parse_quiver(spec)
+    assert frobenius_order(s) == 4
+    assert valued_type_name(fold(q, s)) == name
+
+
+def _dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
+    if family == "E":
+        return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
+    path = [(i, i + 1) for i in range(1, n - 1)]
+    return path + [(n - 1, n) if family == "A" else (n - 2, n)]
+
+
+def _expected_fold(family: str, n: int, order: int) -> str:
+    """ADE under the identity; A_{2k-1} -> C_k (C2 is named B2), D_{k+1} -> B_k,
+    D4 by a 3-cycle -> G2, E6 -> F4."""
+    if order == 1:
+        return f"{family}{n}"
+    if family == "A":
+        return "B2" if n == 3 else f"C{(n + 1) // 2}"
+    if family == "E":
+        return "F4"
+    return "G2" if order == 3 else f"B{n - 1}"
+
+
+# folds: 2^(n-1) orientations under the identity, plus the orientations that
+# each other diagram automorphism preserves (none for A_{2k}).
+@pytest.mark.parametrize(
+    "family, n, folds",
+    [("A", 2, 2), ("A", 3, 6), ("A", 4, 8), ("A", 5, 20), ("A", 6, 32), ("A", 7, 72)]
+    + [("D", 4, 24), ("D", 5, 24), ("D", 6, 48), ("E", 6, 40)],
+)
+def test_every_dynkin_fold_is_named(family, n, folds) -> None:
+    """Every orientation under the identity and each invariant diagram automorphism."""
+    edges = _dynkin_edges(family, n)
+    graph = {frozenset(e) for e in edges}
+    vertices = tuple(range(1, n + 1))
+    autos = [
+        dict(zip(vertices, p))
+        for p in itertools.permutations(vertices)
+        if {frozenset((p[a - 1], p[b - 1])) for a, b in edges} == graph
+    ]
+    checked = 0
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        name_of = {
+            (b, a) if flip else (a, b): f"a{i}" for i, ((a, b), flip) in enumerate(zip(edges, flips))
+        }
+        q = Quiver.make(vertices, ((name, t, h) for (t, h), name in name_of.items()))
+        for sigma in autos:
+            images = [(sigma[a.tail], sigma[a.head]) for a in q.arrows]
+            if not all(img in name_of for img in images):
+                continue
+            s = Automorphism(q, tuple(sigma[v] for v in vertices), tuple(name_of[i] for i in images))
+            assert valued_type_name(fold(q, s)) == _expected_fold(family, n, frobenius_order(s))
+            checked += 1
+    assert checked == folds
 
 
 def test_fold_rejects_foreign_automorphism(q_a3: Quiver, q_d4: Quiver, rot_d4) -> None:

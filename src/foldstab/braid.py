@@ -33,6 +33,10 @@ from .quiver import (
 # Coxeter exponent m of a pair of simples from the product c_ij * c_ji.
 _EXPONENT = {0: 2, 1: 3, 2: 4, 3: 6}
 
+# Most letters a braid word may expand to; a larger exponent sum is refused
+# before the word is built.
+MAX_WORD_LETTERS = 100_000
+
 
 class CoxeterSystem:
     """A finite Coxeter group in its reflection representation.
@@ -168,8 +172,12 @@ def words_equal(system: CoxeterSystem, u, v) -> bool:
 
 
 def parse_word(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse letters like '1 2 1^-1' into 0-based (slot, exponent) pairs."""
-    out = []
+    """Parse letters like '1 2 1^-1' into 0-based (slot, exponent) pairs.
+
+    A word of more than MAX_WORD_LETTERS letters, exponents expanded, is an
+    input error; the count is taken before anything is expanded.
+    """
+    powers = []
     for tok in text.replace(",", " ").split():
         base, caret, e = tok.partition("^")
         try:
@@ -178,8 +186,15 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
             raise InputError(f"bad braid letter {quote(tok)}") from None
         if slot < 1:
             raise InputError("generators are numbered from 1")
-        sign = 1 if exp > 0 else -1
-        out.extend([(slot - 1, sign)] * abs(exp))
+        powers.append((slot, exp))
+    letters = sum(abs(exp) for _, exp in powers)
+    if letters > MAX_WORD_LETTERS:
+        raise InputError(
+            f"braid word has {quote(letters)} letters; the limit is {MAX_WORD_LETTERS}"
+        )
+    out = []
+    for slot, exp in powers:
+        out.extend([(slot - 1, 1 if exp > 0 else -1)] * abs(exp))
     return tuple(out)
 
 

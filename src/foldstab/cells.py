@@ -27,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalError
-from .hearts import Heart, heart_k_matrix
-from .linalg import inverse, mat, rank, vec_mat
+from .hearts import Heart, heart_k_matrix, heart_label
+from .linalg import IntMatrix, rank, unimodular_inverse, vec_mat
 from .quiver import Automorphism, ValuedQuiver
 from .ratlp import Infeasibility, Row, solve_strict_system, verify_infeasibility
 from .reps import Catalog
@@ -39,19 +39,24 @@ _ONE = Fraction(1)
 Complex = tuple[Fraction, Fraction]
 
 
-def _heart_basis_inverse(catalog: Catalog, heart: Heart):
-    b = mat([[Fraction(c) for c in row] for row in heart_k_matrix(catalog, heart)])
-    return inverse(b)
+def heart_basis_inverse(catalog: Catalog, heart: Heart) -> IntMatrix:
+    """Inverse of the heart's K-matrix, whose rows are the simples' classes.
+
+    The simples of a heart form a basis of K(D), so the matrix is unimodular
+    and its inverse is integral; any other determinant is an internal error.
+    """
+    try:
+        return unimodular_inverse(heart_k_matrix(catalog, heart))
+    except ValueError as exc:
+        raise InternalError(
+            f"K-matrix of heart {heart_label(catalog, heart)} is not unimodular: {exc}"
+        ) from None
 
 
 def vertex_functionals_to_heart(catalog: Catalog, heart: Heart, rows) -> tuple[Row, ...]:
     """Rewrite functionals on vertex charges as functionals on simple charges."""
-    binv = _heart_basis_inverse(catalog, heart)
-    out = []
-    for row in rows:
-        v = tuple(Fraction(c) for c in row)
-        out.append(vec_mat(v, binv))
-    return tuple(out)
+    binv = heart_basis_inverse(catalog, heart)
+    return tuple(vec_mat(row, binv) for row in rows)
 
 
 def numerical_constraints(catalog: Catalog, heart: Heart) -> tuple[Row, ...]:
@@ -98,7 +103,7 @@ def _branches(n: int):
 
 
 def _unit_row(n: int, j: int) -> Row:
-    return tuple(_ONE if i == j else _ZERO for i in range(n))
+    return tuple(1 if i == j else 0 for i in range(n))
 
 
 def _im_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
@@ -174,8 +179,9 @@ def _branch_certificate(
             continue
         on_branch = {**lam, **dict(zip(p, cert.equality_multipliers[m:]))}
         eq = cert.equality_multipliers[:m] + tuple(on_branch[j] for j in real_axis)
-        scale = _ONE if total >= 1 else 1 / total
-        certificate = Infeasibility(tuple(scale * v for v in pos), tuple(scale * v for v in eq))
+        if total < 1:
+            pos, eq = tuple(v / total for v in pos), tuple(v / total for v in eq)
+        certificate = Infeasibility(pos, eq)
         return BranchCertificate(real_axis, "im", certificate)
     raise InternalError(f"no chain step certifies branch {real_axis}")
 

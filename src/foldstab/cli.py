@@ -22,19 +22,24 @@ from fractions import Fraction
 from functools import cached_property
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
-from .cells import classify_cell, fold_charge, numerical_constraints, verify_classification
+from .cells import (
+    classify_cell,
+    fold_charge,
+    heart_basis_inverse,
+    numerical_constraints,
+    verify_classification,
+)
 from .errors import InputError, InternalError, UnsupportedTypeError, quote
 from .hearts import (
     ExchangeGraph,
     FoldedEG,
     build_folded_eg,
     build_interval_eg,
-    heart_k_matrix,
     heart_label,
     is_f_stable,
     simple_label,
 )
-from .linalg import solve
+from .linalg import mat_vec
 from .quiver import Automorphism, Quiver, ValuedQuiver, dynkin_type, fold, valued_type_name
 from .reps import Catalog
 from .specfile import parse_quiver
@@ -212,11 +217,9 @@ def _classify_payload(a: Analysis, folded: bool) -> dict:
         if cls.feasible:
             row["witness"] = [[str(x), str(y)] for x, y in cls.witness]
             if folded:
-                b = tuple(tuple(Fraction(c) for c in r) for r in heart_k_matrix(catalog, h))
-                xs = solve(b, tuple(z[0] for z in cls.witness))
-                ys = solve(b, tuple(z[1] for z in cls.witness))
-                if xs is None or ys is None:
-                    raise InternalError("witness could not be moved to the vertex basis")
+                binv = heart_basis_inverse(catalog, h)
+                xs = mat_vec(binv, tuple(z[0] for z in cls.witness))
+                ys = mat_vec(binv, tuple(z[1] for z in cls.witness))
                 charge = tuple(zip(xs, ys))
                 folded_charge = fold_charge(vq, charge)
                 row["folded_charge"] = [

@@ -132,6 +132,49 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(row[n:] for row in r)
 
 
+def bareiss_update(row: list[int], prow: list[int], col: int, d: int) -> list[int]:
+    """A row after a fraction-free pivot on prow[col] (Bareiss 1968).
+
+    With p = prow[col] and d the previous pivot, row y becomes
+    (p y - y[col] prow) // d.  The division is exact when every entry is d
+    times its rational value, which the update keeps, with p as the new d.
+    """
+    p = prow[col]
+    f = row[col]
+    if f == 0:
+        return row if p == d else [p * x // d for x in row]
+    if d == 1:
+        return [p * x - f * y for x, y in zip(row, prow)]
+    return [(p * x - f * y) // d for x, y in zip(row, prow)]
+
+
+def unimodular_inverse(a: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix of determinant +-1, in integers.
+
+    Fraction-free Gauss-Jordan on [a | I] with `bareiss_update`: the last
+    pivot is +-det(a), the left block ends as that pivot times I and the
+    right block as the pivot times a^-1.  Raises ValueError when the
+    determinant is not +-1.
+    """
+    n = len(a)
+    rows = [list(row) + list(unit) for row, unit in zip(a, int_identity(n))]
+    d = 1
+    sign = 1
+    for k in range(n):
+        r = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if r is None:
+            raise ValueError("matrix is singular")
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        prow = rows[k]
+        rows = [row if i == k else bareiss_update(row, prow, k, d) for i, row in enumerate(rows)]
+        d = prow[k]
+    if d not in (1, -1):
+        raise ValueError(f"determinant {sign * d} is not +-1")
+    return tuple(tuple(d * x for x in row[n:]) for row in rows)
+
+
 def _row_op(m: list[list[int]], i: int, j: int, q: int) -> None:
     """row_i -= q * row_j"""
     m[i] = [a - q * b for a, b in zip(m[i], m[j])]

@@ -9,7 +9,8 @@ breadth-first tilting, the folded exchange graph by trying every tilt
 order by hand, and Coxeter lengths, descents and the longest element by
 enumerating the Weyl group instead of sign tests on roots, and stability
 cells by solving both strict systems of every real-axis branch instead of
-one chain of LPs.
+one chain of LPs, and the simplex on a Fraction tableau instead of a
+fraction-free integer one.
 """
 
 from __future__ import annotations
@@ -336,3 +337,51 @@ def branch_classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassifica
         witness = tuple((x, y) for x, y in zip(x_res.point, y_res.point))
         return CellClassification(True, witness, None)
     return CellClassification(False, None, tuple(certs))
+
+
+def fraction_simplex_max(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
+    """max c.x s.t. a x <= b, x >= 0, with b >= 0.  Returns (value, x, duals).
+
+    The rational tableau with Bland's smallest-index rule: the pivot row is
+    divided by the pivot and cleared out of every other row, all in
+    Fractions.  The reference for the fraction-free `ratlp._simplex_max`.
+    """
+    m, n = len(a), len(c)
+    width = n + m + 1
+    rows = []
+    for i in range(m):
+        row = list(a[i]) + [Fraction(0)] * m + [b[i]]
+        row[n + i] = Fraction(1)
+        rows.append(row)
+    cost = [-x for x in c] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][width - 1] / rows[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise InternalError("linear program is unbounded")
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, rows[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][width - 1]
+    duals = [cost[n + i] for i in range(m)]
+    return cost[width - 1], tuple(x), tuple(duals)

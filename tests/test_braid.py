@@ -9,6 +9,7 @@ import pytest
 from oracles import EnumeratedCoxeterSystem
 
 from foldstab.braid import (
+    MAX_WORD_LETTERS,
     CoxeterSystem,
     cartan_for_type,
     normal_form,
@@ -80,6 +81,15 @@ def test_parse_word() -> None:
         parse_word("0 1")
     with pytest.raises(InputError, match="bad braid letter 'x'"):
         parse_word("x")
+
+
+def test_parse_word_letter_limit() -> None:
+    assert len(parse_word(f"1^{MAX_WORD_LETTERS - 1} 2^-1")) == MAX_WORD_LETTERS
+    with pytest.raises(InputError, match=f"has {MAX_WORD_LETTERS + 1} letters"):
+        parse_word(f"1^{MAX_WORD_LETTERS} 2^-1")
+    # a bad letter is reported before the count
+    with pytest.raises(InputError, match="bad braid letter 'x'"):
+        parse_word("1^99999999999 x")
 
 
 def test_normal_form_basics() -> None:

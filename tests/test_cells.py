@@ -11,6 +11,7 @@ from foldstab import cells
 from foldstab.cells import (
     CellClassification,
     classify_cell,
+    heart_basis_inverse,
     f_constraint_rows,
     f_constraints,
     fold_charge,
@@ -21,7 +22,16 @@ from foldstab.cells import (
     vertex_functionals_to_heart,
     verify_classification,
 )
-from foldstab.hearts import build_interval_eg, heart_label, is_f_stable, seed_heart
+from foldstab.errors import InternalError
+from foldstab.hearts import (
+    build_interval_eg,
+    heart_k_matrix,
+    heart_label,
+    is_f_stable,
+    make_heart,
+    seed_heart,
+)
+from foldstab.linalg import int_identity, mat_mul
 from foldstab.quiver import euler_form_cy3, fold, integer_kernel
 from foldstab.ratlp import solve_strict_system
 from foldstab.reps import Catalog
@@ -147,6 +157,31 @@ def test_vertex_functionals_roundtrip(cat_a3) -> None:
     seed = seed_heart(cat_a3)
     rows = vertex_functionals_to_heart(cat_a3, seed, ((1, 2, 3),))
     assert rows == ((F(1), F(2), F(3)),)
+
+
+@pytest.mark.parametrize("name", ["cat_a3", "cat_d4", "cat_a5"])
+def test_heart_basis_inverse_on_every_heart(name, request) -> None:
+    catalog = request.getfixturevalue(name)
+    n = len(catalog.quiver.vertices)
+    for heart in build_interval_eg(catalog).hearts:
+        binv = heart_basis_inverse(catalog, heart)
+        assert all(type(x) is int for row in binv for x in row)
+        assert mat_mul(binv, heart_k_matrix(catalog, heart)) == int_identity(n)
+
+
+def test_heart_basis_inverse_rejects_a_non_basis(cat_a3, cat_d4) -> None:
+    # e1, e2 and e1 + e2 are dependent; three leaves of D4 and its highest
+    # root span a sublattice of index 2.
+    singular = make_heart((cat_a3.by_dims[d], 0) for d in ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    with pytest.raises(InternalError, match="heart {.*} is not unimodular: matrix is singular"):
+        heart_basis_inverse(cat_a3, singular)
+    top = max(cat_d4.roots, key=sum)
+    leaves = [tuple(int(i == j) for j in range(4)) for i in range(4) if top[i] == 1]
+    index_two = make_heart((cat_d4.by_dims[d], 0) for d in leaves + [top])
+    label = heart_label(cat_d4, index_two)
+    with pytest.raises(InternalError, match="determinant -?2 is not") as info:
+        numerical_constraints(cat_d4, index_two)
+    assert label in str(info.value)
 
 
 def test_slices_equal() -> None:

@@ -261,6 +261,19 @@ def test_braid_check_bad_letter(capsys) -> None:
     assert "9" * 40 + "..." in err and len(err.encode()) < 200
 
 
+def test_braid_check_refuses_huge_exponents(capsys) -> None:
+    code, out, err = run_cli(capsys, "braid", A2, "--check", "1^99999999999 = 1")
+    assert code == 2
+    assert out == ""
+    assert err == "foldstab: error: braid word has 99999999999 letters; the limit is 100000\n"
+    code, _, err = run_cli(capsys, "braid", A2, "--check", "1 = 2^60000 1^-40001")
+    assert code == 2
+    assert "100001 letters" in err
+    code, _, err = run_cli(capsys, "braid", A2, "--check", "1^" + "9" * 4000 + " = 1")
+    assert code == 2
+    assert len(err.encode()) < 200
+
+
 def test_report_json(capsys) -> None:
     code, out, _ = run_cli(capsys, "report", A3)
     assert code == 0

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from foldstab.linalg import (
     identity,
@@ -17,6 +20,7 @@ from foldstab.linalg import (
     smith_normal_form,
     solve,
     transpose,
+    unimodular_inverse,
     vec_mat,
 )
 
@@ -109,3 +113,42 @@ def test_normalize_int_vector() -> None:
     assert normalize_int_vector((-4, 0, 6)) == (2, 0, -3)
     assert normalize_int_vector((0, 0, 0)) == (0, 0, 0)
     assert normalize_int_vector((5,)) == (1,)
+
+
+def test_unimodular_inverse_matches_rational_inverse() -> None:
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = [list(row) for row in int_identity(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                q = rng.randint(-2, 2)
+                a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            if rng.random() < 0.3:
+                a[i] = [-x for x in a[i]]
+        a = tuple(tuple(row) for row in a)
+        assert abs(_int_det(a)) == 1
+        ainv = unimodular_inverse(a)
+        assert all(type(x) is int for row in ainv for x in row)
+        assert _int_mul(ainv, a) == int_identity(n)
+        assert ainv == inverse(mat(a))
+
+
+def test_unimodular_inverse_needs_a_leading_row_swap() -> None:
+    a = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+    assert unimodular_inverse(a) == a
+
+
+@pytest.mark.parametrize(
+    "a,message",
+    [
+        (((1, 2), (2, 4)), "singular"),
+        (((0, 0), (0, 1)), "singular"),
+        (((2, 0), (0, 1)), "determinant 2 "),
+        (((1, 1, 0), (1, -1, 0), (0, 0, 1)), "determinant -2 "),
+    ],
+)
+def test_unimodular_inverse_rejects_other_determinants(a, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        unimodular_inverse(a)

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
+from foldstab import ratlp
+from foldstab.cells import classify_cell, f_constraints, numerical_constraints
+from foldstab.hearts import build_interval_eg
 from foldstab.ratlp import (
     Infeasibility,
     Witness,
     solve_strict_system,
     verify_infeasibility,
 )
+from foldstab.reps import Catalog
+from foldstab.specfile import parse_quiver
+from oracles import fraction_simplex_max
 
 F = Fraction
 
@@ -135,3 +143,78 @@ def test_random_systems_always_decided() -> None:
         )
         res = solve_strict_system(eqs, pos, nvars)
         _check(eqs, pos, res)
+
+
+def test_verify_clears_denominators_of_fraction_rows() -> None:
+    pos = _rows((F(1, 2), 0), (F(-1, 3), 0))
+    eqs = _rows((0, F(2, 7)),)
+    assert verify_infeasibility(eqs, pos, Infeasibility((F(2, 5), F(3, 5)), (F(0),)))
+    assert not verify_infeasibility(eqs, pos, Infeasibility((F(1, 5), F(3, 5)), (F(0),)))
+    assert not verify_infeasibility(eqs, pos, Infeasibility((F(1, 5), F(3, 10)), (F(0),)))
+    assert not verify_infeasibility(eqs, pos, Infeasibility((F(2, 5), F(3, 5)), (F(1, 9),)))
+
+
+# ---------------------------------------------------------------- simplex against its oracle
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _recorded_lps(monkeypatch, run) -> list:
+    """The (a, b, c) of every LP that `run` hands to the simplex."""
+    lps = []
+    simplex = ratlp._simplex_max
+
+    def recorder(a, b, c):
+        lps.append(([list(r) for r in a], list(b), list(c)))
+        return simplex(a, b, c)
+
+    monkeypatch.setattr(ratlp, "_simplex_max", recorder)
+    run()
+    monkeypatch.undo()
+    return lps
+
+
+def _assert_same_as_oracle(lps) -> None:
+    for a, b, c in lps:
+        assert ratlp._simplex_max(a, b, c) == fraction_simplex_max(a, b, c), (a, b, c)
+
+
+def test_simplex_matches_fraction_oracle_on_cell_lps(monkeypatch) -> None:
+    def classify_every_cell():
+        for name in ("a3_flip", "d4_swap", "d4_triality", "a5_flip"):
+            q, s = parse_quiver((SPECS / f"{name}.toml").read_text(encoding="utf-8"))
+            catalog = Catalog(q)
+            for heart in build_interval_eg(catalog).hearts:
+                n = len(heart.simples)
+                classify_cell(numerical_constraints(catalog, heart), n)
+                classify_cell(f_constraints(catalog, s, heart), n)
+
+    lps = _recorded_lps(monkeypatch, classify_every_cell)
+    assert len(lps) > 1000
+    _assert_same_as_oracle(lps)
+
+
+def test_simplex_matches_fraction_oracle_on_random_systems(monkeypatch) -> None:
+    """Entries over denominators 2, 3 and 7.  Every LP starts with all but
+    its last row at ratio 0, so with two or more strict rows Bland's
+    tie-break picks the first pivot."""
+    rng = random.Random(7)
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7)))
+
+    def solve_random_systems():
+        for _ in range(2000):
+            nvars = rng.randint(1, 4)
+            eqs = tuple(
+                tuple(entry() for _ in range(nvars)) for _ in range(rng.randint(0, 2))
+            )
+            pos = tuple(
+                tuple(entry() for _ in range(nvars)) for _ in range(rng.randint(1, 4))
+            )
+            _check(eqs, pos, solve_strict_system(eqs, pos, nvars))
+
+    lps = _recorded_lps(monkeypatch, solve_random_systems)
+    assert len(lps) >= 2000
+    assert any(x.denominator == 7 for a, _, _ in lps for row in a for x in row)
+    _assert_same_as_oracle(lps)

@@ -5,19 +5,22 @@ representation attached to a crystallographic Cartan matrix (for a quiver,
 `quiver.cartan_matrix` in Dynkin order).  The group is never enumerated:
 descents are sign tests on the roots of `quiver.positive_roots` (Bjorner-
 Brenti, GTM 231, section 4.4), the longest element is a greedy product of
-generators, and the group order comes from the root heights.  Braid words
-(letters are generators or their inverses) are put into left-greedy normal
-form Delta^k x_1 ... x_r; two words are equal in the braid group exactly
-when their normal forms coincide.
+generators, and the group order comes from the root heights.  A product
+with a generator is a row or column update, and conjugation by the longest
+element permutes rows and columns.  Braid words (letters are generators or
+their inverses) are put into left-greedy normal form Delta^k x_1 ... x_r
+one letter at a time, renormalising from the right end only; two words are
+equal in the braid group exactly when their normal forms coincide.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InputError, UnsupportedTypeError, quote
-from .linalg import IntMatrix, int_identity, mat_mul, mat_vec
+from .linalg import IntMatrix, int_identity
 from .quiver import (
     Automorphism,
     Quiver,
@@ -52,14 +55,10 @@ class CoxeterSystem:
         self.cartan = cartan
         self.rank = len(cartan)
         n = self.rank
-        gens = []
-        for i in range(n):
-            m = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-            for j in range(n):
-                m[i][j] -= cartan[i][j]
-            gens.append(tuple(tuple(row) for row in m))
-        self.gens: tuple[IntMatrix, ...] = tuple(gens)
+        # The nonzero entries (k, c_tk) of row t of C: s_t touches only these.
+        self._bonds = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in cartan)
         self.identity = int_identity(n)
+        self.gens: tuple[IntMatrix, ...] = tuple(self.gen_times(t, self.identity) for t in range(n))
         roots = positive_roots(cartan)
         self._two_rho = tuple(map(sum, zip(*roots)))
         # Roots by height form the partition dual to the exponents m_i
@@ -73,8 +72,10 @@ class CoxeterSystem:
             up = next((s for s, col in enumerate(zip(*w)) if sum(col) > 0), None)
             if up is None:
                 break
-            w = mat_mul(w, self.gens[up])
+            w = self.times_gen(w, up)
         self.w0: IntMatrix = w
+        # w0 = -P_sigma: w0(alpha_i) = -alpha_sigma(i), and sigma is an involution.
+        self.sigma = tuple(col.index(-1) for col in zip(*w))
 
     @classmethod
     def from_quiver(cls, q: Quiver) -> tuple["CoxeterSystem", dict[int, int]]:
@@ -89,23 +90,47 @@ class CoxeterSystem:
     def from_type(cls, family: str, rank: int) -> "CoxeterSystem":
         return cls(cartan_for_type(family, rank))
 
+    def times_gen(self, w: IntMatrix, t: int) -> IntMatrix:
+        """w . s_t: column j loses c_tj times column t, so only rows that are
+        nonzero in column t change."""
+        out = []
+        for row in w:
+            a = row[t]
+            if a:
+                row = list(row)
+                for j, c in self._bonds[t]:
+                    row[j] -= c * a
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
+
+    def gen_times(self, t: int, w: IntMatrix) -> IntMatrix:
+        """s_t . w: only row t changes, to row t - sum_k c_tk row k."""
+        row = list(w[t])
+        for k, c in self._bonds[t]:
+            for j, x in enumerate(w[k]):
+                row[j] -= c * x
+        return w[:t] + (tuple(row),) + w[t + 1:]
+
     def left_descents(self, w: IntMatrix) -> tuple[int, ...]:
-        w_rho = mat_vec(self.cartan, mat_vec(w, self._two_rho))
-        return tuple(s for s, x in enumerate(w_rho) if x < 0)
+        w_rho = [sum(map(mul, row, self._two_rho)) for row in w]
+        return tuple(s for s, row in enumerate(self.cartan) if sum(map(mul, row, w_rho)) < 0)
 
     def right_descents(self, w: IntMatrix) -> tuple[int, ...]:
         return tuple(s for s, col in enumerate(zip(*w)) if sum(col) < 0)
 
     def tau(self, w: IntMatrix) -> IntMatrix:
-        """Conjugation by the longest element; an involution on simples."""
-        return mat_mul(mat_mul(self.w0, w), self.w0)
+        """Conjugation by the longest element, w0 w w0 = P_sigma w P_sigma:
+        entry (i, j) of the result is entry (sigma i, sigma j) of w."""
+        sigma = self.sigma
+        return tuple(tuple(w[i][j] for j in sigma) for i in sigma)
 
     def reduced_word(self, w: IntMatrix) -> tuple[int, ...]:
         letters = []
         while w != self.identity:
             s = min(self.left_descents(w))
             letters.append(s)
-            w = mat_mul(self.gens[s], w)
+            w = self.gen_times(s, w)
         return tuple(letters)
 
 
@@ -120,51 +145,74 @@ class GarsideNF:
         return self.power == 0 and not self.factors
 
 
-def _renormalize(system: CoxeterSystem, factors: list[IntMatrix]) -> list[IntMatrix]:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            x, y = factors[i], factors[i + 1]
-            while True:
-                right = set(system.right_descents(x))
-                move = next((s for s in system.left_descents(y) if s not in right), None)
-                if move is None:
-                    break
-                x = mat_mul(x, system.gens[move])
-                y = mat_mul(system.gens[move], y)
-                changed = True
-            factors[i], factors[i + 1] = x, y
-        factors = [f for f in factors if f != system.identity]
-    return factors
+# A factor of a form under construction, with its left and right descents.
+_Factor = tuple[IntMatrix, tuple[int, ...], tuple[int, ...]]
+
+
+def _renormalize(system: CoxeterSystem, factors: list[_Factor]) -> None:
+    """Make the form left-weighted again after a simple was appended.
+
+    Only the last pair can fail R(x) >= L(y).  Moving letters from y to x
+    until it holds keeps the pair right of (x, y) left-weighted and can
+    spoil only the pair to its left (Epstein et al., Word Processing in
+    Groups, ch. 9), so the walk goes left until a pair needs no move.
+    """
+    i = len(factors) - 1
+    while i > 0:
+        x, _, rx = factors[i - 1]
+        y, ly, _ = factors[i]
+        move = next((s for s in ly if s not in rx), None)
+        if move is None:
+            return
+        while move is not None:
+            x, y = system.times_gen(x, move), system.gen_times(move, y)
+            rx, ly = system.right_descents(x), system.left_descents(y)
+            move = next((s for s in ly if s not in rx), None)
+        factors[i - 1] = (x, system.left_descents(x), rx)
+        factors[i] = (y, ly, system.right_descents(y))
+        i -= 1
 
 
 def normal_form(system: CoxeterSystem, word) -> GarsideNF:
     """Left-greedy normal form of a braid word.
 
-    The word is a sequence of (generator slot, +1 or -1) letters.
+    The word is a sequence of (generator slot, +1 or -1) letters.  A letter
+    s^-1 cancels s when s is a right descent of the last factor.  Otherwise
+    it is Delta^-1 (w0 s), and moving Delta^-1 to the front applies tau to
+    every factor.  So the factors are kept in the frame tau^twisted, which
+    maps left-weighted pairs to left-weighted pairs, and tau is applied once
+    at the end.
     """
+    n = system.rank
     power = 0
-    factors: list[IntMatrix] = []
+    twisted = False
+    factors: list[_Factor] = []
     for slot, exp in word:
-        if not 0 <= slot < system.rank:
+        if not 0 <= slot < n:
             raise InputError(f"generator slot {quote(slot)} out of range")
-        g = system.gens[slot]
+        t = system.sigma[slot] if twisted else slot
         if exp == 1:
-            factors.append(g)
+            w = system.gens[t]
         elif exp == -1:
-            power -= 1
-            factors = [system.tau(f) for f in factors]
-            comp = mat_mul(system.w0, g)
-            if comp != system.identity:
-                factors.append(comp)
+            if factors and t in factors[-1][2]:
+                w = system.times_gen(factors.pop()[0], t)
+            else:
+                power -= 1
+                twisted = not twisted
+                w = system.gen_times(t, system.w0)  # s_t w0 = tau^twisted(w0 s_slot)
         else:
             raise InputError("letter exponent must be +1 or -1")
-        factors = _renormalize(system, factors)
-        while factors and factors[0] == system.w0:
+        factors.append((w, system.left_descents(w), system.right_descents(w)))
+        _renormalize(system, factors)
+        # Only the last factor can empty out: every other one starts with a
+        # right descent of the factor before it.  Only w0 has every simple
+        # as a left descent.
+        if not factors[-1][1]:
+            factors.pop()
+        while factors and len(factors[0][1]) == n:
             power += 1
             factors.pop(0)
-    return GarsideNF(power, tuple(factors))
+    return GarsideNF(power, tuple(system.tau(w) if twisted else w for w, _, _ in factors))
 
 
 def words_equal(system: CoxeterSystem, u, v) -> bool:
@@ -257,12 +305,3 @@ def verify_folded_relations(q: Quiver, s: Automorphism) -> tuple[tuple[RelationC
             )
         )
     return tuple(checks), valued_type_name(vq)
-
-
-def twist_k_matrix(v: tuple[int, ...], form: tuple[tuple[int, ...], ...]) -> IntMatrix:
-    """Matrix of the reflection-like twist x -> x + v (v^T E x) on classes."""
-    n = len(v)
-    ve = tuple(sum(v[k] * form[k][j] for k in range(n)) for j in range(n))
-    return tuple(
-        tuple((1 if i == j else 0) + v[i] * ve[j] for j in range(n)) for i in range(n)
-    )

@@ -10,7 +10,8 @@ order by hand, and Coxeter lengths, descents and the longest element by
 enumerating the Weyl group instead of sign tests on roots, and stability
 cells by solving both strict systems of every real-axis branch instead of
 one chain of LPs, and the simplex on a Fraction tableau instead of a
-fraction-free integer one.
+fraction-free integer one, and braid normal forms by re-walking every pair
+of factors instead of walking left from the right end.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from foldstab.braid import GarsideNF
 from foldstab.cells import BranchCertificate, CellClassification, _branches, _unit_row
-from foldstab.errors import InternalError
+from foldstab.errors import InputError, InternalError, quote
 from foldstab.hearts import Heart, make_heart, seed_heart
 from foldstab.linalg import IntMatrix, int_identity, mat_mul
 from foldstab.quiver import Quiver
@@ -256,7 +258,8 @@ class EnumeratedCoxeterSystem:
     With `max_length` the search stops at that length.  An element missing
     from the table is then longer than every element in it, so descents stay
     exact on the table, but there is no `w0`.  Otherwise the oracle can stand
-    in for `foldstab.braid.CoxeterSystem` in `normal_form` and `render_nf`.
+    in for `foldstab.braid.CoxeterSystem` in `pairwise_normal_form` and
+    `render_nf`.
     """
 
     def __init__(self, cartan: IntMatrix, max_length: int | None = None):
@@ -300,9 +303,6 @@ class EnumeratedCoxeterSystem:
         lw = self.length[w]
         return tuple(i for i, g in enumerate(self.gens) if self.length.get(mat_mul(w, g), lw + 1) < lw)
 
-    def tau(self, w: IntMatrix) -> IntMatrix:
-        return mat_mul(mat_mul(self.w0, w), self.w0)
-
     def reduced_word(self, w: IntMatrix) -> tuple[int, ...]:
         letters = []
         while w != self.identity:
@@ -310,6 +310,66 @@ class EnumeratedCoxeterSystem:
             letters.append(s)
             w = mat_mul(self.gens[s], w)
         return tuple(letters)
+
+
+def _pairwise_renormalize(system, factors: list[IntMatrix]) -> list[IntMatrix]:
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            x, y = factors[i], factors[i + 1]
+            while True:
+                right = set(system.right_descents(x))
+                move = next((s for s in system.left_descents(y) if s not in right), None)
+                if move is None:
+                    break
+                x = mat_mul(x, system.gens[move])
+                y = mat_mul(system.gens[move], y)
+                changed = True
+            factors[i], factors[i + 1] = x, y
+        factors = [f for f in factors if f != system.identity]
+    return factors
+
+
+def pairwise_normal_form(system, word) -> GarsideNF:
+    """Left-greedy normal form by re-walking every adjacent pair of factors
+    after each letter, with products and tau = w0 . w0 by `mat_mul`, and tau
+    applied to every factor at each inverse letter.
+
+    The reference for `foldstab.braid.normal_form`, which walks from the
+    right end only.  `system` is a `CoxeterSystem` or an
+    `EnumeratedCoxeterSystem`.
+    """
+    power = 0
+    factors: list[IntMatrix] = []
+    for slot, exp in word:
+        if not 0 <= slot < system.rank:
+            raise InputError(f"generator slot {quote(slot)} out of range")
+        g = system.gens[slot]
+        if exp == 1:
+            factors.append(g)
+        elif exp == -1:
+            power -= 1
+            factors = [mat_mul(mat_mul(system.w0, f), system.w0) for f in factors]
+            comp = mat_mul(system.w0, g)
+            if comp != system.identity:
+                factors.append(comp)
+        else:
+            raise InputError("letter exponent must be +1 or -1")
+        factors = _pairwise_renormalize(system, factors)
+        while factors and factors[0] == system.w0:
+            power += 1
+            factors.pop(0)
+    return GarsideNF(power, tuple(factors))
+
+
+def twist_k_matrix(v: tuple[int, ...], form: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """Matrix of the reflection-like twist x -> x + v (v^T E x) on classes."""
+    n = len(v)
+    ve = tuple(sum(v[k] * form[k][j] for k in range(n)) for j in range(n))
+    return tuple(
+        tuple((1 if i == j else 0) + v[i] * ve[j] for j in range(n)) for i in range(n)
+    )
 
 
 def branch_classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:

@@ -32,7 +32,7 @@ from foldstab.quiver import (
     integer_kernel,
 )
 from foldstab.reps import Catalog, cy3_hom_dims, direct_sum, ext1_dim, hom_dim, transport
-from foldstab.braid import twist_k_matrix
+from oracles import twist_k_matrix
 
 
 def run_tilt_round_trips(catalogs: list[Catalog]) -> int:

@@ -6,21 +6,23 @@ from pathlib import Path
 
 import pytest
 
-from oracles import EnumeratedCoxeterSystem
+from oracles import EnumeratedCoxeterSystem, pairwise_normal_form, twist_k_matrix
 
+from foldstab import braid
 from foldstab.braid import (
     MAX_WORD_LETTERS,
     CoxeterSystem,
+    GarsideNF,
     cartan_for_type,
     normal_form,
     orbit_words,
     parse_word,
     render_nf,
-    twist_k_matrix,
     verify_folded_relations,
     words_equal,
 )
 from foldstab.errors import InputError, UnsupportedTypeError
+from foldstab.linalg import mat_mul
 from foldstab.quiver import euler_form_cy3
 from foldstab.specfile import parse_quiver
 
@@ -255,7 +257,7 @@ def test_normal_forms_match_enumeration(family, rank) -> None:
             (rng.randrange(rank), rng.choice((1, -1))) for _ in range(rng.randint(1, 14))
         )
         nf = normal_form(system, word)
-        assert nf == normal_form(oracle, word)
+        assert nf == pairwise_normal_form(oracle, word)
         assert render_nf(system, nf) == render_nf(oracle, nf)
 
 
@@ -277,3 +279,137 @@ def test_e_series_order_and_longest_word(rank, order, positive_roots) -> None:
     system = CoxeterSystem.from_type("E", rank)
     assert system.order == order
     assert len(system.reduced_word(system.w0)) == positive_roots
+
+
+@pytest.mark.parametrize(
+    "family, rank, sigma",
+    [
+        ("A", 5, (4, 3, 2, 1, 0)),
+        ("D", 5, (0, 1, 2, 4, 3)),
+        ("E", 6, (4, 3, 2, 1, 0, 5)),
+        ("D", 4, (0, 1, 2, 3)),
+    ],
+)
+def test_generator_steps_and_tau(family, rank, sigma) -> None:
+    system = CoxeterSystem.from_type(family, rank)
+    assert system.sigma == sigma
+    n = range(rank)
+    for s in n:
+        # s_s is the identity with row s replaced by e_s - (row s of C).
+        assert system.gens[s] == tuple(
+            tuple((r == c) - (system.cartan[s][c] if r == s else 0) for c in n) for r in n
+        )
+        assert system.tau(system.gens[s]) == system.gens[sigma[s]]
+    assert system.tau(system.w0) == system.w0
+    rng = random.Random(rank)
+    for _ in range(20):
+        w = system.identity
+        for s in (rng.randrange(rank) for _ in range(rng.randint(0, 12))):
+            w = mat_mul(w, system.gens[s])
+        for t in range(rank):
+            g = system.gens[t]
+            assert system.times_gen(w, t) == mat_mul(w, g)
+            assert system.gen_times(t, w) == mat_mul(g, w)
+        assert system.tau(w) == mat_mul(mat_mul(system.w0, w), system.w0)
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _random_word(rng: random.Random, rank: int, length: int) -> tuple[tuple[int, int], ...]:
+    return tuple((rng.randrange(rank), rng.choice((1, 1, -1))) for _ in range(length))
+
+
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.toml")))
+def test_normal_form_matches_pairwise_oracle_on_specs(spec) -> None:
+    q, _ = parse_quiver((SPECS / f"{spec}.toml").read_text(encoding="utf-8"))
+    system, _ = CoxeterSystem.from_quiver(q)
+    rng = random.Random(spec)
+    for _ in range(12):
+        word = _random_word(rng, system.rank, rng.randint(0, 40))
+        assert normal_form(system, word) == pairwise_normal_form(system, word)
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_normal_form_matches_pairwise_oracle_on_e7_e8(rank) -> None:
+    system = CoxeterSystem.from_type("E", rank)
+    rng = random.Random(rank)
+    for _ in range(4):
+        word = _random_word(rng, rank, rng.randint(1, 12))
+        assert normal_form(system, word) == pairwise_normal_form(system, word)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 3), ("B", 3), ("D", 4), ("G", 2), ("E", 6)])
+def test_normal_form_matches_pairwise_oracle_on_delta_heavy_words(family, rank) -> None:
+    system = CoxeterSystem.from_type(family, rank)
+    delta = tuple((s, 1) for s in system.reduced_word(system.w0))
+    delta_inv = tuple((s, -1) for s, _ in reversed(delta))
+    cancel = tuple(letter for s in range(rank) for letter in ((s, 1), (s, -1)))
+    rng = random.Random(family + str(rank))
+    words = [
+        delta * 3,
+        delta_inv * 2,
+        delta + delta_inv,
+        delta_inv + ((0, 1),) + delta,
+        cancel * 3,
+        tuple((s, -e) for s, e in reversed(cancel)) + delta,
+        delta[:-1] + ((rank - 1, -1),) + delta[1:],
+    ]
+    for _ in range(4):
+        words.append(delta + _random_word(rng, rank, 8) + delta_inv + _random_word(rng, rank, 8) + delta)
+    for word in words:
+        assert normal_form(system, word) == pairwise_normal_form(system, word)
+    assert normal_form(system, delta * 3) == GarsideNF(3, ())
+    assert normal_form(system, cancel * 3).is_trivial()
+
+
+def _left_descent_calls(monkeypatch, system: CoxeterSystem, word) -> int:
+    calls = 0
+    original = CoxeterSystem.left_descents
+
+    def counting(self, w):
+        nonlocal calls
+        calls += 1
+        return original(self, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(CoxeterSystem, "left_descents", counting)
+        normal_form(system, word)
+    return calls
+
+
+def test_normal_form_descent_calls_grow_linearly(monkeypatch) -> None:
+    system = CoxeterSystem.from_type("A", 3)
+    short = _left_descent_calls(monkeypatch, system, parse_word("1^1000"))
+    long = _left_descent_calls(monkeypatch, system, parse_word("1^2000"))
+    assert 0 < short
+    assert long <= 2.2 * short
+
+
+def test_normal_form_keeps_one_descent_pair_per_factor(monkeypatch) -> None:
+    system = CoxeterSystem.from_type("D", 5)
+    before = dict(vars(system))
+    rng = random.Random(5)
+    word = tuple((rng.randrange(5), 1 if rng.random() < 0.99 else -1) for _ in range(3000))
+    seen = []
+    renormalize = braid._renormalize
+
+    def recording(system, factors):
+        seen.append(factors)
+        renormalize(system, factors)
+
+    monkeypatch.setattr(braid, "_renormalize", recording)
+    nf = normal_form(system, word)
+    # Every letter reuses one list, which ends as the form itself: one
+    # matrix with its two descent sets per factor, and nothing kept on the
+    # system.
+    assert len(seen) == len(word)
+    assert all(factors is seen[0] for factors in seen)
+    stored = seen[0]
+    assert len(stored) == len(nf.factors) > 100
+    ws = [w for w, _, _ in stored]
+    assert list(nf.factors) in (ws, [system.tau(w) for w in ws])
+    for w, left, right in stored:
+        assert left == system.left_descents(w)
+        assert right == system.right_descents(w)
+    assert vars(system) == before

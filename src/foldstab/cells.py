@@ -15,16 +15,15 @@ the maximal support S (Goldman-Tucker).  A short chain of exact LPs finds
 ~S: each infeasible step's Farkas multipliers name coordinates that vanish
 on every such vector, and they are pinned before the next step.  A real
 system solvable on Q stays solvable on every subset of Q, so the cell is
-nonempty iff the real system on ~S is solvable.  When it is not, the
-infeasibility certificate of every one of the 2^n branches is read off the
-chain's certificates, with no further LP.
+nonempty iff the real system on ~S is solvable.  When it is not, the chain
+itself is the proof: its imaginary certificates and the real one on ~S, at
+most n + 1 in all, rule out every one of the 2^n branches together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
@@ -97,11 +96,6 @@ class CellClassification:
     certificates: tuple[BranchCertificate, ...] | None
 
 
-def _branches(n: int):
-    for size in range(n + 1):
-        yield from combinations(range(n), size)
-
-
 def _unit_row(n: int, j: int) -> Row:
     return tuple(1 if i == j else 0 for i in range(n))
 
@@ -117,6 +111,13 @@ def _re_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int)
     return tuple(constraints), tuple(_unit_row(n, j) for j in real_axis)
 
 
+def _pinned_after(step: BranchCertificate, n: int) -> tuple[int, ...]:
+    """The step's pinned coordinates and every free one with a positive multiplier."""
+    free = (j for j in range(n) if j not in step.real_axis)
+    lam = step.certificate.positive_multipliers
+    return tuple(sorted({j for j, v in zip(free, lam) if v > 0}.union(step.real_axis)))
+
+
 def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
     """Decide whether the constrained cell meets H^n, with proof either way.
 
@@ -124,9 +125,11 @@ def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
     infeasible, every free coordinate with a positive multiplier is pinned
     and the system is solved again; the chain ends at ~S and costs at most
     n + 1 solves.  One more solve, of the real system on ~S, decides the
-    cell.  A nonempty cell's witness is the first branch of `_branches` with
-    both systems solvable, which is ~S.  An empty cell gets a certificate
-    for every branch, read off the chain by `_branch_certificate`.
+    cell.  A nonempty cell's witness lies on the branch ~S, the first branch
+    with both systems solvable in order of size, then lexicographic.  An
+    empty cell's certificates are the chain: one "im" certificate per
+    infeasible step, in order, then the "re" certificate on ~S.  Each step
+    pins at least one new coordinate, so there are at most n + 1.
     """
     if not constraints:
         return CellClassification(True, ((_ZERO, _ONE),) * n, None)
@@ -136,54 +139,13 @@ def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
         y_res = solve_strict_system(*_im_system(constraints, pinned, n), n)
         if not isinstance(y_res, Infeasibility):
             break
-        chain.append((pinned, y_res))
-        free = (j for j in range(n) if j not in pinned)
-        vanish = {j for j, lam in zip(free, y_res.positive_multipliers) if lam > 0}
-        pinned = tuple(sorted(vanish.union(pinned)))
+        chain.append(BranchCertificate(pinned, "im", y_res))
+        pinned = _pinned_after(chain[-1], n)
     x_res = solve_strict_system(*_re_system(constraints, pinned, n), n)
     if not isinstance(x_res, Infeasibility):
         return CellClassification(True, tuple(zip(x_res.point, y_res.point)), None)
-    m = len(constraints)
-    certs = tuple(_branch_certificate(q, pinned, x_res, chain, m, n) for q in _branches(n))
-    return CellClassification(False, None, certs)
-
-
-def _branch_certificate(
-    real_axis: tuple[int, ...],
-    pinned: tuple[int, ...],
-    x_cert: Infeasibility,
-    chain: list[tuple[tuple[int, ...], Infeasibility]],
-    m: int,
-    n: int,
-) -> BranchCertificate:
-    """Infeasibility of one branch, derived from the chain with no LP.
-
-    A branch containing ~S (= pinned) inherits the real certificate of ~S,
-    its multipliers zero-extended.  Any other branch contains some chain
-    step P whose multipliers are positive somewhere off the branch: those
-    off the branch stay positive multipliers, those on it move to the
-    branch's unit rows, and the sum is scaled up to at least 1.
-    """
-    q = set(real_axis)
-    if q.issuperset(pinned):
-        lam = dict(zip(pinned, x_cert.positive_multipliers))
-        pos = tuple(lam.get(j, _ZERO) for j in real_axis)
-        return BranchCertificate(real_axis, "re", Infeasibility(pos, x_cert.equality_multipliers))
-    for p, cert in chain:
-        if not q.issuperset(p):
-            continue
-        lam = dict(zip((j for j in range(n) if j not in p), cert.positive_multipliers))
-        pos = tuple(lam[j] for j in range(n) if j not in q)
-        total = sum(pos)
-        if total == 0:
-            continue
-        on_branch = {**lam, **dict(zip(p, cert.equality_multipliers[m:]))}
-        eq = cert.equality_multipliers[:m] + tuple(on_branch[j] for j in real_axis)
-        if total < 1:
-            pos, eq = tuple(v / total for v in pos), tuple(v / total for v in eq)
-        certificate = Infeasibility(pos, eq)
-        return BranchCertificate(real_axis, "im", certificate)
-    raise InternalError(f"no chain step certifies branch {real_axis}")
+    chain.append(BranchCertificate(pinned, "re", x_res))
+    return CellClassification(False, None, tuple(chain))
 
 
 def in_half_plane(z: Complex) -> bool:
@@ -194,7 +156,16 @@ def in_half_plane(z: Complex) -> bool:
 def verify_classification(
     constraints: tuple[Row, ...], cls: CellClassification, n: int
 ) -> bool:
-    """Recheck a classification from scratch; used by callers as an audit."""
+    """Recheck a classification from scratch, with no LP; callers audit with it.
+
+    A witness is checked against the constraints and H.  An emptiness proof
+    must start from nothing pinned, be "im" steps then one "re", pin at each
+    link only what the previous step's positive multipliers allow, and carry
+    a valid Farkas certificate of a system with a positive row at each step.
+    That rules out every branch Q: the real certificate, zero-extended, does
+    if Q contains the last set; otherwise the last step whose set Q contains
+    has a positive multiplier off Q, and rules out Q's imaginary system.
+    """
     if cls.feasible:
         if cls.witness is None or len(cls.witness) != n:
             return False
@@ -206,18 +177,18 @@ def verify_classification(
             if sum(c * z[1] for c, z in zip(row, cls.witness)) != 0:
                 return False
         return True
-    if cls.certificates is None:
+    chain = cls.certificates
+    if not chain or chain[0].real_axis != ():
         return False
-    seen = {c.real_axis: c for c in cls.certificates}
-    for real_axis in _branches(n):
-        c = seen.get(real_axis)
-        if c is None:
+    if any(c.axis != "im" for c in chain[:-1]) or chain[-1].axis != "re":
+        return False
+    for step, nxt in zip(chain, chain[1:]):
+        if not set(nxt.real_axis).issubset(_pinned_after(step, n)):
             return False
+    for c in chain:
         system = _im_system if c.axis == "im" else _re_system
-        eqs, pos = system(constraints, real_axis, n)
-        if not pos:
-            return False
-        if not verify_infeasibility(eqs, pos, c.certificate):
+        eqs, pos = system(constraints, c.real_axis, n)
+        if not pos or not verify_infeasibility(eqs, pos, c.certificate):
             return False
     return True
 
@@ -244,14 +215,3 @@ def fold_charge(vq: ValuedQuiver, charge: tuple[Complex, ...]) -> tuple[Complex,
         out.append((re, im))
     return tuple(out)
 
-
-def unfold_charge(vq: ValuedQuiver, folded: tuple[Complex, ...]) -> tuple[Complex, ...]:
-    """Spread an orbit charge evenly over each orbit's members."""
-    q = vq.source
-    by_orbit = {ov.name: (ov, z) for ov, z in zip(vq.vertices, folded)}
-    out: list[Complex] = [None] * len(q.vertices)  # type: ignore[list-item]
-    for ov, z in by_orbit.values():
-        m = len(ov.members)
-        for v in ov.members:
-            out[q.vertex_index[v]] = (z[0] / m, z[1] / m)
-    return tuple(out)

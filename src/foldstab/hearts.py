@@ -16,7 +16,6 @@ tilt at a shift-0 simple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
@@ -136,29 +135,6 @@ def tilt_backward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
     return make_heart(out)
 
 
-def validate_heart(catalog: Catalog, heart: Heart) -> None:
-    """Simple-mindedness: ordered Hom/Ext vanishing plus a unimodular K-basis."""
-    from .linalg import smith_normal_form
-
-    n = len(catalog.quiver.vertices)
-    if len(heart.simples) != n:
-        raise InputError("heart has the wrong number of simples")
-    if len(set(heart.simples)) != n:
-        raise InputError("heart repeats a simple")
-    for xi, (x_idx, x_shift) in enumerate(heart.simples):
-        for yi, (y_idx, y_shift) in enumerate(heart.simples):
-            if xi == yi:
-                continue
-            gap = y_shift - x_shift
-            if gap >= 0 and catalog.hom_table[x_idx][y_idx] != 0:
-                raise InputError("heart violates Hom vanishing")
-            if gap >= 1 and catalog.ext_table[x_idx][y_idx] != 0:
-                raise InputError("heart violates Ext vanishing")
-    _, d, _ = smith_normal_form(heart_k_matrix(catalog, heart))
-    if any(d[i][i] != 1 for i in range(n)):
-        raise InputError("heart classes are not a lattice basis")
-
-
 @dataclass(frozen=True)
 class ExchangeGraph:
     hearts: tuple[Heart, ...]
@@ -266,36 +242,3 @@ def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> FoldedEG:
 
     return FoldedEG(*_walk(seed, moves))
 
-
-@dataclass(frozen=True)
-class OrbitExtPattern:
-    source_size: int
-    target_size: int
-    period: int
-    counts: tuple[int, ...]
-    total: int
-
-
-def orbit_ext_pattern(
-    catalog: Catalog,
-    perm: tuple[int, ...],
-    heart: Heart,
-    source_orbit: tuple[int, ...],
-    target_orbit: tuple[int, ...],
-) -> OrbitExtPattern:
-    """Extension counts from an orbit base point into the transported targets.
-
-    The base points are the least simples of each orbit; counts[k] is
-    dim Ext^1 from the source base into the k-th transport of the target
-    base.  The sequence is periodic with period lcm of the orbit sizes.
-    """
-    x_idx, _ = min(heart.simples[p] for p in source_orbit)
-    y_idx, _ = min(heart.simples[p] for p in target_orbit)
-    s, t = len(source_orbit), len(target_orbit)
-    d = math.lcm(s, t)
-    counts = []
-    y = y_idx
-    for _ in range(d):
-        counts.append(catalog.ext_table[x_idx][y])
-        y = perm[y]
-    return OrbitExtPattern(s, t, d, tuple(counts), sum(counts))

@@ -368,20 +368,6 @@ def integer_kernel(form: BilinearForm) -> tuple[IntVector, ...]:
     return integer_left_kernel(form.matrix)
 
 
-def frobenius_on_k(s: Automorphism) -> IntMatrix:
-    """Permutation matrix of the vertex permutation on K-classes.
-
-    Column of vertex v carries a 1 in the row of its image, so the matrix
-    sends the class of the v-th simple to the class of the image simple.
-    """
-    q = s.quiver
-    n = len(q.vertices)
-    m = [[0] * n for _ in range(n)]
-    for v in q.vertices:
-        m[q.vertex_index[s.vertex(v)]][q.vertex_index[v]] = 1
-    return tuple(tuple(row) for row in m)
-
-
 def frobenius_order(s: Automorphism) -> int:
     return math.lcm(*(len(o) for o in s.vertex_orbits))
 

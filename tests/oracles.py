@@ -11,7 +11,10 @@ enumerating the Weyl group instead of sign tests on roots, and stability
 cells by solving both strict systems of every real-axis branch instead of
 one chain of LPs, and the simplex on a Fraction tableau instead of a
 fraction-free integer one, and braid normal forms by re-walking every pair
-of factors instead of walking left from the right end.
+of factors instead of walking left from the right end.  A cell's chain
+proof is expanded into one certificate per branch, each checkable on its
+own.  Hearts are validated by Hom/Ext vanishing and a Smith normal form,
+and the automorphism acts on K-classes as a permutation matrix.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from foldstab.braid import GarsideNF
-from foldstab.cells import BranchCertificate, CellClassification, _branches, _unit_row
+from foldstab.cells import BranchCertificate, CellClassification, _unit_row
 from foldstab.errors import InputError, InternalError, quote
-from foldstab.hearts import Heart, make_heart, seed_heart
-from foldstab.linalg import IntMatrix, int_identity, mat_mul
-from foldstab.quiver import Quiver
+from foldstab.hearts import Heart, heart_k_matrix, make_heart, seed_heart
+from foldstab.linalg import IntMatrix, int_identity, mat_mul, smith_normal_form
+from foldstab.quiver import Automorphism, Quiver
 from foldstab.ratlp import Infeasibility, Row, solve_strict_system
 from foldstab.reps import (
     Catalog,
@@ -370,6 +373,93 @@ def twist_k_matrix(v: tuple[int, ...], form: tuple[tuple[int, ...], ...]) -> Int
     return tuple(
         tuple((1 if i == j else 0) + v[i] * ve[j] for j in range(n)) for i in range(n)
     )
+
+
+def frobenius_on_k(s: Automorphism) -> IntMatrix:
+    """Permutation matrix of the vertex permutation on K-classes.
+
+    Column of vertex v carries a 1 in the row of its image, so the matrix
+    sends the class of the v-th simple to the class of the image simple.
+    """
+    q = s.quiver
+    n = len(q.vertices)
+    m = [[0] * n for _ in range(n)]
+    for v in q.vertices:
+        m[q.vertex_index[s.vertex(v)]][q.vertex_index[v]] = 1
+    return tuple(tuple(row) for row in m)
+
+
+def validate_heart(catalog: Catalog, heart: Heart) -> None:
+    """Simple-mindedness: ordered Hom/Ext vanishing plus a unimodular K-basis."""
+    n = len(catalog.quiver.vertices)
+    if len(heart.simples) != n:
+        raise InputError("heart has the wrong number of simples")
+    if len(set(heart.simples)) != n:
+        raise InputError("heart repeats a simple")
+    for xi, (x_idx, x_shift) in enumerate(heart.simples):
+        for yi, (y_idx, y_shift) in enumerate(heart.simples):
+            if xi == yi:
+                continue
+            gap = y_shift - x_shift
+            if gap >= 0 and catalog.hom_table[x_idx][y_idx] != 0:
+                raise InputError("heart violates Hom vanishing")
+            if gap >= 1 and catalog.ext_table[x_idx][y_idx] != 0:
+                raise InputError("heart violates Ext vanishing")
+    _, d, _ = smith_normal_form(heart_k_matrix(catalog, heart))
+    if any(d[i][i] != 1 for i in range(n)):
+        raise InputError("heart classes are not a lattice basis")
+
+
+def _branches(n: int):
+    """Every real-axis branch: subsets of range(n) by size, then lexicographic."""
+    for size in range(n + 1):
+        yield from combinations(range(n), size)
+
+
+def _branch_certificate(
+    real_axis: tuple[int, ...],
+    chain: tuple[BranchCertificate, ...],
+    m: int,
+    n: int,
+) -> BranchCertificate:
+    """Infeasibility of one branch, derived from a chain proof with no LP.
+
+    A branch containing the last set ~S inherits the real certificate of ~S,
+    its multipliers zero-extended.  Any other branch contains some chain
+    step P whose multipliers are positive somewhere off the branch: those
+    off the branch stay positive multipliers, those on it move to the
+    branch's unit rows, and the sum is scaled up to at least 1.
+    """
+    *steps, real = chain
+    q = set(real_axis)
+    if q.issuperset(real.real_axis):
+        x_cert = real.certificate
+        lam = dict(zip(real.real_axis, x_cert.positive_multipliers))
+        pos = tuple(lam.get(j, Fraction(0)) for j in real_axis)
+        return BranchCertificate(real_axis, "re", Infeasibility(pos, x_cert.equality_multipliers))
+    for step in steps:
+        p, cert = step.real_axis, step.certificate
+        if not q.issuperset(p):
+            continue
+        lam = dict(zip((j for j in range(n) if j not in p), cert.positive_multipliers))
+        pos = tuple(lam[j] for j in range(n) if j not in q)
+        total = sum(pos)
+        if total == 0:
+            continue
+        on_branch = {**lam, **dict(zip(p, cert.equality_multipliers[m:]))}
+        eq = cert.equality_multipliers[:m] + tuple(on_branch[j] for j in real_axis)
+        if total < 1:
+            pos, eq = tuple(v / total for v in pos), tuple(v / total for v in eq)
+        return BranchCertificate(real_axis, "im", Infeasibility(pos, eq))
+    raise InternalError(f"no chain step certifies branch {real_axis}")
+
+
+def expand_chain_proof(
+    chain: tuple[BranchCertificate, ...], m: int, n: int
+) -> tuple[BranchCertificate, ...]:
+    """The certificate of every branch, in `_branches` order, that an empty
+    cell's chain proof implies; m is the number of constraint rows."""
+    return tuple(_branch_certificate(q, chain, m, n) for q in _branches(n))
 
 
 def branch_classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:

@@ -28,11 +28,10 @@ from foldstab.quiver import (
     Quiver,
     euler_form_cy3,
     euler_form_hereditary,
-    frobenius_on_k,
     integer_kernel,
 )
 from foldstab.reps import Catalog, cy3_hom_dims, direct_sum, ext1_dim, hom_dim, transport
-from oracles import twist_k_matrix
+from oracles import frobenius_on_k, twist_k_matrix
 
 
 def run_tilt_round_trips(catalogs: list[Catalog]) -> int:

@@ -10,6 +10,8 @@ import pytest
 from foldstab import cells
 from foldstab.cells import (
     CellClassification,
+    _im_system,
+    _re_system,
     classify_cell,
     heart_basis_inverse,
     f_constraint_rows,
@@ -18,7 +20,6 @@ from foldstab.cells import (
     in_half_plane,
     numerical_constraints,
     slices_equal,
-    unfold_charge,
     vertex_functionals_to_heart,
     verify_classification,
 )
@@ -32,11 +33,11 @@ from foldstab.hearts import (
     seed_heart,
 )
 from foldstab.linalg import int_identity, mat_mul
-from foldstab.quiver import euler_form_cy3, fold, integer_kernel
-from foldstab.ratlp import solve_strict_system
+from foldstab.quiver import Automorphism, euler_form_cy3, fold, integer_kernel
+from foldstab.ratlp import solve_strict_system, verify_infeasibility
 from foldstab.reps import Catalog
 from foldstab.specfile import parse_quiver
-from oracles import branch_classify_cell
+from oracles import branch_classify_cell, expand_chain_proof
 
 F = Fraction
 
@@ -96,11 +97,14 @@ def test_top_heart_infeasible_with_branch_certificates(cat_a3) -> None:
     cls = classify_cell(rows, 3)
     assert not cls.feasible
     assert cls.witness is None
-    assert len(cls.certificates) == 8
-    assert {c.real_axis for c in cls.certificates} == {
+    # C = (1 1 1) kills no nonzero y >= 0, so one step pins every coordinate,
+    # and x1 + x2 + x3 = 0 has no solution with x > 0.
+    assert [(c.real_axis, c.axis) for c in cls.certificates] == [((), "im"), ((0, 1, 2), "re")]
+    assert verify_classification(rows, cls, 3)
+    branches = expand_chain_proof(cls.certificates, len(rows), 3)
+    assert {c.real_axis for c in branches} == {
         (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2),
     }
-    assert verify_classification(rows, cls, 3)
 
 
 def test_feasible_witness_structure(cat_a3) -> None:
@@ -129,7 +133,10 @@ def test_fully_pinched_cell() -> None:
     )
     cls = classify_cell(rows, 2)
     assert not cls.feasible
-    assert len(cls.certificates) == 4
+    # n + 1 certificates: each step pins exactly one new coordinate.
+    assert [(c.real_axis, c.axis) for c in cls.certificates] == [
+        ((), "im"), ((0,), "im"), ((0, 1), "re"),
+    ]
     assert verify_classification(rows, cls, 2)
 
 
@@ -199,33 +206,19 @@ def test_charge_fold_unfold(q_a3, flip_a3) -> None:
     charge = ((F(1), F(2)), (F(0), F(3)), (F(1), F(2)))
     folded = fold_charge(vq, charge)
     assert set(folded) == {(F(2), F(4)), (F(0), F(3))}
-    back = unfold_charge(vq, folded)
-    assert back == charge
-    assert fold_charge(vq, back) == folded
-
-
-def test_unfold_splits_evenly(q_d4, rot_d4) -> None:
-    vq = fold(q_d4, rot_d4)
-    folded = tuple((F(3), F(6)) for _ in vq.vertices)
-    charge = unfold_charge(vq, folded)
-    sizes = {}
-    for ov in vq.vertices:
-        for v in ov.members:
-            sizes[v] = len(ov.members)
-    for v, z in zip(q_d4.vertices, charge):
-        assert z == (F(3, sizes[v]), F(6, sizes[v]))
 
 
 # ---------------------------------------------------------------- the chain classifier
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+FIXTURES = ("a1_trivial", "a2_chain", "a3_flip", "a5_flip", "d4_swap", "d4_triality", "e6_fold")
 
 
 @cache
 def _fixture(name: str):
     q, s = parse_quiver((SPECS / f"{name}.toml").read_text(encoding="utf-8"))
     catalog = Catalog(q)
-    return catalog, s, build_interval_eg(catalog).hearts
+    return catalog, s or Automorphism.identity(q), build_interval_eg(catalog).hearts
 
 
 def _cells(name: str, family: str):
@@ -239,9 +232,17 @@ def _cells(name: str, family: str):
         yield rows, len(heart.simples)
 
 
-def _shape(cls: CellClassification):
-    count = None if cls.certificates is None else len(cls.certificates)
-    return cls.feasible, cls.witness, count
+@cache
+def _empty_cells(name: str, family: str):
+    """(constraints, n, classification) of every empty cell of a fixture."""
+    classified = ((rows, n, classify_cell(rows, n)) for rows, n in _cells(name, family))
+    return tuple(cell for cell in classified if not cell[2].feasible)
+
+
+def _shape(cls: CellClassification, certificates):
+    """Verdict, witness and the branches that the certificates rule out, in order."""
+    covered = None if certificates is None else tuple(c.real_axis for c in certificates)
+    return cls.feasible, cls.witness, covered
 
 
 @pytest.mark.parametrize(
@@ -259,32 +260,73 @@ def test_chain_agrees_with_branch_oracle(name, family) -> None:
         cls = classify_cell(rows, n)
         assert verify_classification(rows, cls, n)
         if (rows, n) not in oracle:
-            oracle[rows, n] = _shape(branch_classify_cell(rows, n))
-        assert _shape(cls) == oracle[rows, n]
+            expected = branch_classify_cell(rows, n)
+            oracle[rows, n] = _shape(expected, expected.certificates)
+        branches = None if cls.feasible else expand_chain_proof(cls.certificates, len(rows), n)
+        assert _shape(cls, branches) == oracle[rows, n]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_expanded_chain_proof_certifies_every_branch(name) -> None:
+    for family in ("numerical", "f"):
+        for rows, n, cls in _empty_cells(name, family):
+            branches = expand_chain_proof(cls.certificates, len(rows), n)
+            assert len({c.real_axis for c in branches}) == len(branches) == 2**n
+            for c in branches:
+                system = _im_system if c.axis == "im" else _re_system
+                assert verify_infeasibility(*system(rows, c.real_axis, n), c.certificate)
+
+
+def test_empty_cells_carry_at_most_n_plus_1_certificates() -> None:
+    empty = [cell for name in FIXTURES for f in ("numerical", "f") for cell in _empty_cells(name, f)]
+    assert all(len(cls.certificates) <= n + 1 for _, n, cls in empty)
+    # Summed over the fixtures: 2^n branch certificates each would be 54,212.
+    assert len(empty) == 1058
+    assert sum(len(cls.certificates) for _, _, cls in empty) == 2754
+    assert sum(2**n for _, n, _ in empty) == 54212
+
+
+def _chain_mutants(chain: tuple, k: int):
+    """Tampered copies of a chain proof, named; k picks which λ to negate."""
+    i = k % len(chain)
+    lam = list(chain[i].certificate.positive_multipliers)
+    j = max(range(len(lam)), key=lam.__getitem__)
+    lam[j] = -lam[j]
+    negated = replace(
+        chain[i], certificate=replace(chain[i].certificate, positive_multipliers=tuple(lam))
+    )
+    last = chain[-1]
+    yield "drop first", chain[1:]
+    if len(chain) > 2:
+        yield "drop middle", chain[:1] + chain[2:]
+    yield "drop last", chain[:-1]
+    yield "negate a multiplier", chain[:i] + (negated,) + chain[i + 1 :]
+    yield "shrink the real set", chain[:-1] + (replace(last, real_axis=last.real_axis[1:]),)
+    yield "relabel im as re", (replace(chain[0], axis="re"),) + chain[1:]
+    yield "swap two steps", (chain[1], chain[0]) + chain[2:]
 
 
 @pytest.mark.parametrize("name,family", [("a3_flip", "numerical"), ("d4_swap", "numerical")])
 def test_verify_rejects_tampered_branch_certificates(name, family) -> None:
-    classified = ((rows, n, classify_cell(rows, n)) for rows, n in _cells(name, family))
-    empty = [cell for cell in classified if not cell[2].feasible]
+    empty = _empty_cells(name, family)
     assert empty
+    rejected = set()
     for k, (rows, n, cls) in enumerate(empty):
-        certs = list(cls.certificates)
-        assert len(certs) == 2**n
-        i = k % len(certs)
-        lam = list(certs[i].certificate.positive_multipliers)
-        j = max(range(len(lam)), key=lam.__getitem__)
-        lam[j] = -lam[j]
-        negated = replace(
-            certs[i], certificate=replace(certs[i].certificate, positive_multipliers=tuple(lam))
-        )
-        im = next(c for c in certs if c.axis == "im")
-        for tampered in (
-            certs[:i] + [negated] + certs[i + 1 :],
-            certs[:i] + certs[i + 1 :],
-            [replace(c, axis="re") if c is im else c for c in certs],
-        ):
-            assert not verify_classification(rows, replace(cls, certificates=tuple(tampered)), n)
+        assert verify_classification(rows, cls, n)
+        for mutant, tampered in _chain_mutants(cls.certificates, k):
+            assert not verify_classification(rows, replace(cls, certificates=tampered), n), mutant
+            rejected.add(mutant)
+    assert len(rejected) == (7 if name == "d4_swap" else 6)
+
+
+def test_audit_solves_no_lp(monkeypatch) -> None:
+    pinched = ((F(1), F(0)), (F(0), F(1)))
+    cases = [(rows, n, classify_cell(rows, n)) for rows, n in _cells("a3_flip", "numerical")]
+    cases.append((pinched, 2, classify_cell(pinched, 2)))
+    monkeypatch.setattr(cells, "solve_strict_system", None)
+    assert any(not cls.feasible for _, _, cls in cases)
+    for rows, n, cls in cases:
+        assert verify_classification(rows, cls, n)
 
 
 @pytest.mark.parametrize("name,family", [("d4_swap", "numerical"), ("a5_flip", "f")])

@@ -173,6 +173,18 @@ def test_classify_identity_a2(capsys) -> None:
     )
 
 
+def test_classify_audit_failure_names_the_heart(capsys, monkeypatch) -> None:
+    import foldstab.cli as cli
+
+    _, out, _ = run_cli(capsys, "classify", A3, "--format", "json")
+    label = json.loads(out)["hearts"][0]["label"]
+    monkeypatch.setattr(cli, "verify_classification", lambda *args: False)
+    code, out, err = run_cli(capsys, "classify", A3)
+    assert code == 4
+    assert out == ""
+    assert err == f"foldstab: internal error: classify: cell of heart {label} failed its audit\n"
+
+
 def test_braid_table(capsys) -> None:
     code, out, _ = run_cli(capsys, "braid", A3)
     assert code == 0

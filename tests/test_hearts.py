@@ -13,13 +13,11 @@ from foldstab.hearts import (
     is_f_stable,
     make_heart,
     multi_tilt,
-    orbit_ext_pattern,
     orbit_tilt,
     seed_heart,
     tilt_backward,
     tilt_forward,
     transport_heart,
-    validate_heart,
 )
 
 from foldstab.quiver import Quiver
@@ -31,6 +29,7 @@ from oracles import (
     module_tilt_backward,
     module_tilt_forward,
     smc_hearts,
+    validate_heart,
 )
 
 EXPECTED_HEARTS = [
@@ -302,28 +301,3 @@ def test_folded_hearts_cover_all_stable(cat_a3, flip_a3) -> None:
     eg = build_interval_eg(cat_a3)
     stable = {h.simples for h in eg.hearts if is_f_stable(perm, h)}
     assert {h.simples for h in feg.hearts} == stable
-
-
-def test_orbit_ext_pattern_a3(cat_a3, flip_a3) -> None:
-    perm = cat_a3.transport_index(flip_a3)
-    seed = seed_heart(cat_a3)
-    orbits = {len(o): o for o in f_orbits_of_heart(perm, seed)}
-    outer, center = orbits[2], orbits[1]
-    into_outer = orbit_ext_pattern(cat_a3, perm, seed, center, outer)
-    assert (into_outer.source_size, into_outer.target_size) == (1, 2)
-    assert into_outer.period == 2
-    assert into_outer.counts == (1, 1)
-    assert into_outer.total == 2
-    into_center = orbit_ext_pattern(cat_a3, perm, seed, outer, center)
-    assert into_center.counts == (0, 0)
-    assert into_center.total == 0
-
-
-def test_orbit_ext_pattern_d4(cat_d4, rot_d4) -> None:
-    perm = cat_d4.transport_index(rot_d4)
-    seed = seed_heart(cat_d4)
-    orbits = {len(o): o for o in f_orbits_of_heart(perm, seed)}
-    pattern = orbit_ext_pattern(cat_d4, perm, seed, orbits[1], orbits[3])
-    assert pattern.period == 3
-    assert pattern.counts == (1, 1, 1)
-    assert pattern.total == 3

@@ -15,12 +15,12 @@ from foldstab.quiver import (
     euler_form_hereditary,
     fold,
     folded_cartan,
-    frobenius_on_k,
     frobenius_order,
     integer_kernel,
     valued_type_name,
 )
 from foldstab.specfile import parse_quiver
+from oracles import frobenius_on_k
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 

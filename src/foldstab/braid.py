@@ -32,6 +32,7 @@ from .quiver import (
     positive_roots,
     valued_type_name,
 )
+from .specfile import ascii_int
 
 # Coxeter exponent m of a pair of simples from the product c_ij * c_ji.
 _EXPONENT = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -229,7 +230,7 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
     for tok in text.replace(",", " ").split():
         base, caret, e = tok.partition("^")
         try:
-            slot, exp = int(base), (int(e) if caret else 1)
+            slot, exp = ascii_int(base), (ascii_int(e) if caret else 1)
         except ValueError:
             raise InputError(f"bad braid letter {quote(tok)}") from None
         if slot < 1:

@@ -195,14 +195,8 @@ def verify_classification(
 
 def slices_equal(rows_a, rows_b) -> bool:
     """Equality of rational row spans."""
-    a = tuple(tuple(Fraction(c) for c in r) for r in rows_a)
-    b = tuple(tuple(Fraction(c) for c in r) for r in rows_b)
-    if not a and not b:
-        return True
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    both = a + b
-    return ra == rb == rank(both)
+    a, b = tuple(rows_a), tuple(rows_b)
+    return rank(a) == rank(b) == rank(a + b)
 
 
 def fold_charge(vq: ValuedQuiver, charge: tuple[Complex, ...]) -> tuple[Complex, ...]:

@@ -47,10 +47,12 @@ from .specfile import parse_quiver
 
 def _load(path: str) -> tuple[Quiver, Automorphism]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     q, s = parse_quiver(text)
     return q, (s if s is not None else Automorphism.identity(q))
 

@@ -7,20 +7,20 @@ is 0 or 1.  A positive optimum yields an explicit witness; a zero optimum
 yields dual multipliers forming a certificate of infeasibility (lambda >= 0,
 sum lambda >= 1, lambda P + mu E = 0), which is re-verified before return.
 
-Rows may hold ints or Fractions.  The simplex runs on a fraction-free
-integer tableau and the certificate check on integer multipliers; the
-equality kernel and the equality multipliers are Fraction row reductions.
-Results are Fractions.
+Rows may hold ints or Fractions.  The equality kernel is the integer
+`linalg.kernel_basis`, the simplex runs on a fraction-free integer tableau
+over it, and the certificate is checked on integer multipliers; the
+equality multipliers come from `linalg.solve`.  Results are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalError
-from .linalg import bareiss_update, int_identity, kernel_basis, solve, transpose
+from .linalg import bareiss_update, int_identity, kernel_basis, scaled_to_ints, solve, transpose
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,12 +39,6 @@ class Infeasibility:
     equality_multipliers: tuple[Fraction, ...]
 
 
-def _scaled_to_ints(row) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    s = lcm(*(x.denominator for x in row))
-    return [x.numerator * (s // x.denominator) for x in row], s
-
-
 def _simplex_max(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
     """max c.x s.t. a x <= b, x >= 0, with b >= 0.  Returns (value, x, duals).
 
@@ -59,12 +53,12 @@ def _simplex_max(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
     rows = []
     scales = []
     for i in range(m):
-        ints, s = _scaled_to_ints(list(a[i]) + [b[i]])
+        ints, s = scaled_to_ints(list(a[i]) + [b[i]])
         row = ints[:n] + [0] * m + ints[n:]
         row[n + i] = 1
         rows.append(row)
         scales.append(s)
-    ints, c_scale = _scaled_to_ints(c)
+    ints, c_scale = scaled_to_ints(c)
     cost = [-x for x in ints] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
     d = 1
@@ -101,7 +95,7 @@ def _simplex_max(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
 
 
 def _normalize_witness(t: list[Fraction]) -> tuple[Fraction, ...]:
-    ints, _ = _scaled_to_ints(t)
+    ints, _ = scaled_to_ints(t)
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -119,7 +113,7 @@ def verify_infeasibility(
     lam, mu = cert.positive_multipliers, cert.equality_multipliers
     if len(lam) != len(positives) or len(mu) != len(equalities):
         return False
-    coeffs, den = _scaled_to_ints((*lam, *mu))
+    coeffs, den = scaled_to_ints((*lam, *mu))
     if any(l < 0 for l in coeffs[: len(lam)]) or sum(coeffs[: len(lam)]) < den:
         return False
     nvars = len(positives[0]) if positives else (len(equalities[0]) if equalities else 0)

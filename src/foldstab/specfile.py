@@ -33,12 +33,23 @@ import re
 from .errors import InputError, SpecParseError, quote
 from .quiver import Automorphism, Quiver
 
-_ARROW_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(-?\d+)\s*->\s*(-?\d+)\s*$")
+_ARROW_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(-?[0-9]+)\s*->\s*(-?[0-9]+)\s*$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 _SCHEMA = {
     "quiver": {"vertices", "arrows"},
     "automorphism": {"vertex_perm", "arrow_perm"},
 }
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits; ValueError otherwise.
+
+    int() alone also reads the digits of other scripts and '_' separators.
+    """
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 class _Line:
@@ -79,7 +90,7 @@ class _Line:
 
     def integer(self) -> int:
         self.skip_space()
-        m = re.match(r"-?\d+", self.text[self.pos :])
+        m = re.match(r"-?[0-9]+", self.text[self.pos :])
         if not m:
             self.error("expected an integer")
         try:
@@ -161,7 +172,7 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple]]:
 
 def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
     """Parse cycle notation like '(1 3)(2 5)' over the given universe, reading
-    each token with `element` (int for vertex ids, str for arrow names)."""
+    each token with `element` (ascii_int for vertex ids, str for arrow names)."""
     mapping = {x: x for x in universe}
     body = text.strip()
     pos = 0
@@ -183,7 +194,7 @@ def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
             try:
                 elems.append(element(t))
             except ValueError:
-                if re.fullmatch(r"[+-]?\d+", t):
+                if _INT_RE.fullmatch(t):
                     raise InputError(f"{kind}: integer literal is too long") from None
                 raise InputError(f"{kind}: {quote(t)} is not an integer") from None
         for e in elems:
@@ -263,7 +274,7 @@ def parse_quiver(text: str) -> tuple[Quiver, Automorphism | None]:
     pval, pline, pcol = asec["vertex_perm"]
     if not isinstance(pval, tuple):
         raise SpecParseError("'vertex_perm' must be a string", pline, pcol)
-    vmap = _parse_cycles(pval[0], "vertex_perm", list(q.vertices), int)
+    vmap = _parse_cycles(pval[0], "vertex_perm", list(q.vertices), ascii_int)
 
     if "arrow_perm" in asec:
         aval, aline, acol = asec["arrow_perm"]

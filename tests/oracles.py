@@ -11,7 +11,10 @@ enumerating the Weyl group instead of sign tests on roots, and stability
 cells by solving both strict systems of every real-axis branch instead of
 one chain of LPs, and the simplex on a Fraction tableau instead of a
 fraction-free integer one, and braid normal forms by re-walking every pair
-of factors instead of walking left from the right end.  A cell's chain
+of factors instead of walking left from the right end, and the rref,
+inverse and determinant by Gauss-Jordan in Fractions instead of the
+fraction-free `linalg.echelon`, and integer kernels by a Smith normal form
+instead of the primitive echelon kernel of the transpose.  A cell's chain
 proof is expanded into one certificate per branch, each checkable on its
 own.  Hearts are validated by Hom/Ext vanishing and a Smith normal form,
 and the automorphism acts on K-classes as a permutation matrix.
@@ -26,7 +29,7 @@ from foldstab.braid import GarsideNF
 from foldstab.cells import BranchCertificate, CellClassification, _unit_row
 from foldstab.errors import InputError, InternalError, quote
 from foldstab.hearts import Heart, heart_k_matrix, make_heart, seed_heart
-from foldstab.linalg import IntMatrix, int_identity, mat_mul, smith_normal_form
+from foldstab.linalg import IntMatrix, Matrix, int_identity, mat_mul, normalize_int_vector
 from foldstab.quiver import Automorphism, Quiver
 from foldstab.ratlp import Infeasibility, Row, solve_strict_system
 from foldstab.reps import (
@@ -59,7 +62,7 @@ def tits_positive_roots(q: Quiver, bound: int = 3) -> set[tuple[int, ...]]:
     return roots
 
 
-def _det(rows: tuple[tuple[int, ...], ...]) -> Fraction:
+def fraction_det(rows) -> Fraction:
     n = len(rows)
     m = [[Fraction(c) for c in row] for row in rows]
     det = Fraction(1)
@@ -78,6 +81,140 @@ def _det(rows: tuple[tuple[int, ...], ...]) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
+
+
+def fraction_rref(a) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns, by Gauss-Jordan in Fractions.
+
+    Each pivot row is divided by its pivot and cleared out of every other
+    row.  The reference for `linalg.echelon` and the routines read off it.
+    """
+    rows = [list(map(Fraction, row)) for row in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def fraction_inverse(a) -> Matrix:
+    """Inverse by the Fraction rref of [a | I]; ValueError when singular."""
+    n = len(a)
+    r, pivots = fraction_rref(tuple((*row, *unit) for row, unit in zip(a, int_identity(n))))
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in r)
+
+
+def _row_op(m: list[list[int]], i: int, j: int, q: int) -> None:
+    """row_i -= q * row_j"""
+    m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular (U, V) and diagonal D with U a V = D.
+
+    D has nonnegative diagonal entries, each dividing the next.  Everything is
+    exact integer arithmetic; U and V are built by mirroring the row and
+    column operations.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = [list(row) for row in int_identity(m)]
+    v = [list(row) for row in int_identity(n)]
+
+    def col_op(j: int, k: int, q: int) -> None:
+        # col_j -= q * col_k, mirrored on v
+        for row in d:
+            row[j] -= q * row[k]
+        for row in v:
+            row[j] -= q * row[k]
+
+    def swap_rows(i: int, j: int) -> None:
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    while k < min(m, n):
+        # Find the nonzero entry of least magnitude in the trailing block.
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(k, best[0])
+        swap_cols(k, best[1])
+        dirty = False
+        for i in range(k + 1, m):
+            if d[i][k] != 0:
+                q = d[i][k] // d[k][k]
+                _row_op(d, i, k, q)
+                _row_op(u, i, k, q)
+                dirty = dirty or d[i][k] != 0
+        for j in range(k + 1, n):
+            if d[k][j] != 0:
+                q = d[k][j] // d[k][k]
+                col_op(j, k, q)
+                dirty = dirty or d[k][j] != 0
+        if dirty:
+            continue
+        # Enforce divisibility of the rest of the block by d[k][k].
+        witness = next(
+            ((i, j) for i in range(k + 1, m) for j in range(k + 1, n) if d[i][j] % d[k][k] != 0),
+            None,
+        )
+        if witness is not None:
+            i = witness[0]
+            _row_op(d, k, i, -1)  # row_k += row_i
+            _row_op(u, k, i, -1)
+            continue
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            u[k] = [-x for x in u[k]]
+        k += 1
+
+    return (
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in d),
+        tuple(tuple(row) for row in v),
+    )
+
+
+def smith_left_kernel(a: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Basis of {x integral : x a = 0} from the Smith form, sorted and sign-normalized.
+
+    Rows of U opposite the zero diagonal entries of U a V = D: they come
+    from a unimodular transform, so they span every integral kernel vector.
+    """
+    if not a:
+        return ()
+    u, d, _ = smith_normal_form(a)
+    nonzero = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
+    return tuple(sorted(normalize_int_vector(u[i]) for i in range(nonzero, len(a))))
 
 
 Table = tuple[tuple[int, ...], ...]
@@ -185,7 +322,7 @@ def smc_hearts(catalog: Catalog) -> set[tuple[Simple, ...]]:
         rows = tuple(
             tuple((-c if s % 2 else c) for c in catalog.reps[i].dims) for i, s in chosen
         )
-        return abs(_det(rows)) == 1
+        return abs(fraction_det(rows)) == 1
 
     return {c for c in combinations(candidates, n) if admissible(c)}
 

@@ -34,6 +34,23 @@ from foldstab.reps import Catalog, cy3_hom_dims, direct_sum, ext1_dim, hom_dim, 
 from oracles import frobenius_on_k, twist_k_matrix
 
 
+def seeded_dynkin_spec(family: str, n: int, seed: int) -> str:
+    """Spec text of an A_n, D_n or E_n quiver, each edge oriented by a seeded coin.
+
+    The vertices 1..n form a path, except that vertex n hangs off n - 2 for D
+    and off 3 for E.
+    """
+    edges = [(i, i + 1) for i in range(1, n - 1)]
+    if n > 1:
+        edges.append({"A": (n - 1, n), "D": (n - 2, n), "E": (3, n)}[family])
+    rng = random.Random(seed)
+    arrows = [
+        f'"a{i}: {t} -> {h}"' if rng.random() < 0.5 else f'"a{i}: {h} -> {t}"'
+        for i, (t, h) in enumerate(edges)
+    ]
+    return f"[quiver]\nvertices = {list(range(1, n + 1))}\narrows = [{', '.join(arrows)}]\n"
+
+
 def run_tilt_round_trips(catalogs: list[Catalog]) -> int:
     """Forward-then-backward and backward-then-forward return the heart."""
     cases = 0

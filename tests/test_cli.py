@@ -374,6 +374,39 @@ def test_missing_file(capsys) -> None:
     assert err.startswith("foldstab: error: cannot read")
 
 
+def test_spec_that_is_not_utf8_is_an_input_error(capsys, tmp_path) -> None:
+    spec = tmp_path / "latin1.toml"
+    spec.write_bytes("# quiver für A1\n[quiver]\nvertices = [1]\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "fold", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"foldstab: error: cannot read {spec}: not UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_spec_with_a_byte_order_mark_reads_as_without(capsys, tmp_path) -> None:
+    spec = tmp_path / "bom.toml"
+    spec.write_bytes(b"\xef\xbb\xbf" + Path(A3).read_bytes())
+    for argv in (("fold",), ("report", "--format", "table")):
+        code, plain, _ = run_cli(capsys, argv[0], A3, *argv[1:])
+        assert code == 0
+        code, out, err = run_cli(capsys, argv[0], str(spec), *argv[1:])
+        assert (code, err) == (0, "")
+        assert out == plain
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["\u0661 \u0662 = 1 2", "1 2 = \u0661 \u0662", "1_0 = 1", "1 = 1^\u0662"],
+    ids=["arabic-left", "arabic-right", "underscore", "arabic-exponent"],
+)
+def test_braid_letters_take_ascii_digits_only(capsys, word) -> None:
+    code, out, err = run_cli(capsys, "braid", A2, "--check", word)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("foldstab: error: bad braid letter")
+
+
 def test_parse_error_position(capsys, tmp_path) -> None:
     bad = tmp_path / "bad.toml"
     bad.write_text("[quiver]\nvertices = [1\n", encoding="utf-8")

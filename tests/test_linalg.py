@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from foldstab.linalg import (
-    identity,
+    echelon,
     int_identity,
     integer_left_kernel,
     inverse,
@@ -17,12 +17,22 @@ from foldstab.linalg import (
     normalize_int_vector,
     rank,
     rref,
-    smith_normal_form,
+    scaled_to_ints,
     solve,
     transpose,
     unimodular_inverse,
     vec_mat,
 )
+from foldstab.quiver import euler_form_cy3, integer_kernel
+from foldstab.specfile import parse_quiver
+from oracles import (
+    fraction_det,
+    fraction_inverse,
+    fraction_rref,
+    smith_left_kernel,
+    smith_normal_form,
+)
+from properties import seeded_dynkin_spec
 
 
 def _int_mul(x, y):
@@ -70,8 +80,99 @@ def test_solve_and_inverse_round_trip() -> None:
     assert x is not None
     assert mat_vec(a, x) == b
     ainv = inverse(a)
-    assert mat_mul(a, ainv) == identity(2)
+    assert mat_mul(a, ainv) == int_identity(2)
     assert solve(mat([[1, 1], [1, 1]]), (Fraction(0), Fraction(1))) is None
+
+
+def _seeded_matrix(rng: random.Random) -> tuple:
+    """A small matrix, often rectangular or rank-deficient, sometimes with
+    Fraction entries, a zero row or a zero column."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+    fractions = rng.random() < 0.3
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if fractions:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        return rng.randint(-3, 3)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(nrows), 3)
+        rows[k] = [rng.randint(-2, 2) * x + y for x, y in zip(rows[i], rows[j])]
+    if rng.random() < 0.2:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.2:
+        c = rng.randrange(ncols)
+        for row in rows:
+            row[c] = 0
+    return tuple(tuple(row) for row in rows)
+
+
+def test_echelon_routines_match_the_fraction_reference() -> None:
+    rng = random.Random(11)
+    signs = set()
+    for _ in range(400):
+        a = _seeded_matrix(rng)
+        nrows, ncols = len(a), len(a[0])
+        ref, ref_pivots = fraction_rref(a)
+        ints = [scaled_to_ints(row)[0] for row in a]
+        rows, pivots, d, sign = echelon(ints)
+        signs.add(d > 0)
+        assert pivots == ref_pivots
+        assert [[Fraction(x, d) for x in row] for row in rows] == [list(row) for row in ref]
+        assert all(rows[i][p] == d for i, p in enumerate(pivots))
+        if nrows == ncols:
+            assert (sign * d if len(pivots) == nrows else 0) == fraction_det(ints)
+        assert rref(a) == (ref, ref_pivots)
+        assert rank(a) == len(ref_pivots)
+
+        free = [c for c in range(ncols) if c not in ref_pivots]
+        basis = kernel_basis(a)
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert all(type(x) is int for x in v)
+            assert v[f] == abs(d) and all(v[g] == 0 for g in free if g != f)
+            assert all(x == 0 for x in mat_vec(a, v))
+            # v is |d| times the reference kernel vector of its free column.
+            assert all(v[p] == -abs(d) * ref[i][f] for i, p in enumerate(ref_pivots))
+
+        x0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ncols))
+        for b in (mat_vec(a, x0), tuple(Fraction(rng.randint(-2, 2)) for _ in range(nrows))):
+            aug, aug_pivots = fraction_rref(tuple((*row, bv) for row, bv in zip(a, b)))
+            x = solve(a, b)
+            if ncols in aug_pivots:
+                assert x is None
+            else:
+                assert x is not None and mat_vec(a, x) == b
+                assert all(x[p] == aug[i][ncols] for i, p in enumerate(aug_pivots))
+
+        if nrows == ncols:
+            try:
+                expected = fraction_inverse(a)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(a)
+            else:
+                assert inverse(a) == expected
+    assert signs == {True, False}
+
+
+def test_echelon_of_no_rows() -> None:
+    assert echelon([]) == ([], (), 1, 1)
+    assert rank(()) == 0 and kernel_basis(()) == () and integer_left_kernel(()) == ()
+
+
+@pytest.mark.parametrize(
+    "family,ranks", [("A", range(1, 9)), ("D", range(4, 9)), ("E", range(6, 9))]
+)
+def test_integer_kernel_equals_the_smith_kernel(family, ranks) -> None:
+    for n in ranks:
+        for seed in range(20):
+            q, _ = parse_quiver(seeded_dynkin_spec(family, n, seed))
+            form = euler_form_cy3(q)
+            assert integer_kernel(form) == smith_left_kernel(form.matrix)
 
 
 def test_vec_mat_is_row_action() -> None:
@@ -132,7 +233,7 @@ def test_unimodular_inverse_matches_rational_inverse() -> None:
         ainv = unimodular_inverse(a)
         assert all(type(x) is int for row in ainv for x in row)
         assert _int_mul(ainv, a) == int_identity(n)
-        assert ainv == inverse(mat(a))
+        assert ainv == fraction_inverse(a)
 
 
 def test_unimodular_inverse_needs_a_leading_row_swap() -> None:

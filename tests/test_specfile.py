@@ -215,3 +215,31 @@ def test_long_token_error_is_short(tmp_path, capsys, text) -> None:
     err = capsys.readouterr().err
     assert "x" * 40 + "'..." in err
     assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[quiver]\nvertices = [\u0661, 2]\n", "expected an integer"),
+        ("[quiver]\nvertices = [1, 2]\narrows = [\"a: \u0661 -> 2\"]\n", "bad arrow"),
+        ("[quiver]\nvertices = [1, 2]\narrows = [\"a: 1_0 -> 2\"]\n", "bad arrow"),
+        (
+            "[quiver]\nvertices = [1, 2, 10]\n[automorphism]\nvertex_perm = \"(1_0 2)\"\n",
+            "'1_0' is not an integer",
+        ),
+        (
+            "[quiver]\nvertices = [1, 2]\n[automorphism]\nvertex_perm = \"(1 \u0662)\"\n",
+            "is not an integer",
+        ),
+    ],
+    ids=["vertex-arabic-digit", "arrow-arabic-digit", "arrow-underscore", "perm-underscore", "perm-arabic-digit"],
+)
+def test_integers_take_ascii_digits_only(tmp_path, capsys, text, message) -> None:
+    from foldstab.cli import main
+
+    with pytest.raises(InputError, match=message):
+        parse_quiver(text)
+    spec = tmp_path / "digits.toml"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["fold", str(spec)]) == 2
+    assert capsys.readouterr().out == ""

@@ -1,9 +1,12 @@
-"""stdout of classify and report is pinned byte for byte on every fixture.
+"""stdout of classify and report is pinned byte for byte.
 
-The digests are sha256 of the bytes each command writes.  They were taken
-when an empty cell's proof was still 2^n per-branch certificates, so they
-guard that the shorter chain proof leaves every printed byte alone.  A
-change that alters output on purpose updates them and says so.
+The digests are sha256 of the bytes each command writes, on every fixture
+and on two seeded quivers built here rather than in specs/, so the CLI
+fuzz test does not read them: an A7 with 1430 hearts and a D5.  The fixture
+digests were taken when an empty cell's proof was still 2^n per-branch
+certificates, and the seeded ones while the rational kernels came from a
+Fraction rref; each guards that a later rewrite leaves every printed byte
+alone.  A change that alters output on purpose updates them and says so.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from foldstab.cli import main
+from properties import seeded_dynkin_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -58,3 +62,21 @@ def test_stdout_matches_pinned_digest(capsys, spec, command) -> None:
 
 def test_every_fixture_is_pinned() -> None:
     assert {spec for spec, _ in DIGESTS} == {p.stem for p in SPECS.glob("*.toml")}
+
+
+# (family, rank, orientation seed) -> sha256 of `classify` stdout.
+SEEDED_CLASSIFY_DIGESTS = {
+    ("A", 7, 7): "26b18fc6723d196729696a622facc7e3309903ae607eabc32f2ab4fe700dd0de",
+    ("D", 5, 5): "8a78e8fdfe199b95040d759e00de3db79d9dc546ec5c118b6c3352840d2dda98",
+}
+
+
+@pytest.mark.parametrize("family,rank,seed", sorted(SEEDED_CLASSIFY_DIGESTS))
+def test_seeded_classify_matches_pinned_digest(capsys, tmp_path, family, rank, seed) -> None:
+    spec = tmp_path / f"{family}{rank}.toml"
+    spec.write_text(seeded_dynkin_spec(family, rank, seed), encoding="utf-8")
+    code = main(["classify", str(spec)])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == SEEDED_CLASSIFY_DIGESTS[family, rank, seed]

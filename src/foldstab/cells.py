@@ -2,12 +2,13 @@
 
 A central charge assigns each simple of a heart a complex number in the
 closed-upper-half-plane region H = {Im z > 0} union {Im z = 0, Re z > 0}.
-A cell is cut out of H^n by rational linear constraints C (numerical ones
-from the kernel of the pairing form, or stability ones from a quiver
-automorphism).  A charge lies on the real axis at the pinned coordinates Q
-and above it elsewhere, so each Q is a branch with two strict rational
-systems: the imaginary parts (C y = 0, y_Q = 0, y > 0 off Q) and the real
-parts (C x = 0, x > 0 on Q).
+A cell is cut out of H^n by linear constraints C (numerical ones from the
+kernel of the pairing form, or stability ones from a quiver automorphism).
+The heart's basis change is unimodular, so C is an integer matrix.  A
+charge lies on the real axis at the pinned coordinates Q and above it
+elsewhere, so each Q is a branch with two strict integer systems: the
+imaginary parts (C y = 0, y_Q = 0, y > 0 off Q) and the real parts
+(C x = 0, x > 0 on Q).  Witnesses are therefore integer charges.
 
 The imaginary system is solvable only when the complement of Q is the
 support of a nonnegative vector of ker C, so Q contains the complement of
@@ -23,7 +24,6 @@ most n + 1 in all, rule out every one of the 2^n branches together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
@@ -32,10 +32,7 @@ from .quiver import Automorphism, ValuedQuiver
 from .ratlp import Infeasibility, Row, solve_strict_system, verify_infeasibility
 from .reps import Catalog
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-Complex = tuple[Fraction, Fraction]
+Complex = tuple[int, int]
 
 
 def heart_basis_inverse(catalog: Catalog, heart: Heart) -> IntMatrix:
@@ -132,7 +129,7 @@ def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
     pins at least one new coordinate, so there are at most n + 1.
     """
     if not constraints:
-        return CellClassification(True, ((_ZERO, _ONE),) * n, None)
+        return CellClassification(True, ((0, 1),) * n, None)
     pinned: tuple[int, ...] = ()
     chain = []
     while True:
@@ -204,8 +201,8 @@ def fold_charge(vq: ValuedQuiver, charge: tuple[Complex, ...]) -> tuple[Complex,
     q = vq.source
     out = []
     for ov in vq.vertices:
-        re = sum((charge[q.vertex_index[v]][0] for v in ov.members), _ZERO)
-        im = sum((charge[q.vertex_index[v]][1] for v in ov.members), _ZERO)
+        re = sum(charge[q.vertex_index[v]][0] for v in ov.members)
+        im = sum(charge[q.vertex_index[v]][1] for v in ov.members)
         out.append((re, im))
     return tuple(out)
 

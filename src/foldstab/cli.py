@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cached_property
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
@@ -63,8 +62,8 @@ def _ambient_name(q: Quiver) -> str:
 
 
 def _fmt_complex(x: str, y: str) -> str:
-    im = Fraction(y)
-    return f"{x}{'+' if im >= 0 else '-'}{abs(im)}i"
+    sign, im = ("-", y[1:]) if y.startswith("-") else ("+", y)
+    return f"{x}{sign}{im}i"
 
 
 class Analysis:

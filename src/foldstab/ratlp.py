@@ -1,4 +1,4 @@
-"""Exact feasibility for homogeneous systems of strict rational inequalities.
+"""Exact feasibility for homogeneous systems of strict integer inequalities.
 
 Decides whether E t = 0, P t > 0 has a solution, exactly.  Strict
 feasibility is homogeneous, so it reduces to the bounded program
@@ -7,59 +7,53 @@ is 0 or 1.  A positive optimum yields an explicit witness; a zero optimum
 yields dual multipliers forming a certificate of infeasibility (lambda >= 0,
 sum lambda >= 1, lambda P + mu E = 0), which is re-verified before return.
 
-Rows may hold ints or Fractions.  The equality kernel is the integer
-`linalg.kernel_basis`, the simplex runs on a fraction-free integer tableau
-over it, and the certificate is checked on integer multipliers; the
-equality multipliers come from `linalg.solve`.  Results are Fractions.
+Rows hold ints, and so does everything else: the equality kernel is the
+integer `linalg.kernel_basis`, the simplex runs on a fraction-free integer
+tableau over it, and the equality multipliers come from `linalg.echelon`.
+Both answers are invariant under positive scaling, so each is returned as
+a primitive integer vector: the witness t, and the certificate (lambda, mu).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import InternalError
-from .linalg import bareiss_update, int_identity, kernel_basis, scaled_to_ints, solve, transpose
+from .linalg import bareiss_update, echelon, int_identity, kernel_basis
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-Row = tuple[int | Fraction, ...]
+Row = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Witness:
-    point: tuple[Fraction, ...]
+    point: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Infeasibility:
-    positive_multipliers: tuple[Fraction, ...]
-    equality_multipliers: tuple[Fraction, ...]
+    positive_multipliers: tuple[int, ...]
+    equality_multipliers: tuple[int, ...]
 
 
-def _simplex_max(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
-    """max c.x s.t. a x <= b, x >= 0, with b >= 0.  Returns (value, x, duals).
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _simplex_max(a: list[list[int]], b: list[int], c: list[int]):
+    """max c.x s.t. a x <= b, x >= 0, with b >= 0.  Returns (d, value, x, duals).
 
     Bland's smallest-index rule throughout, so the method terminates.  The
-    tableau is fraction-free (Bareiss 1968): each constraint row is scaled
-    to integers, and every entry is kept as d times its rational value, d
-    the last pivot, through `linalg.bareiss_update`.  The ratio test
-    compares cross products, so the pivots are those of the rational
-    tableau.
+    tableau is fraction-free (Bareiss 1968): every entry is kept as d times
+    its rational value, d the last pivot, through `linalg.bareiss_update`.
+    Each pivot is chosen > 0, so d > 0, and the answers are integers over d.
+    The ratio test compares cross products, so the pivots are those of the
+    rational tableau.
     """
     m, n = len(a), len(c)
-    rows = []
-    scales = []
-    for i in range(m):
-        ints, s = scaled_to_ints(list(a[i]) + [b[i]])
-        row = ints[:n] + [0] * m + ints[n:]
-        row[n + i] = 1
-        rows.append(row)
-        scales.append(s)
-    ints, c_scale = scaled_to_ints(c)
-    cost = [-x for x in ints] + [0] * (m + 1)
+    rows = [[*a[i], *(int(i == j) for j in range(m)), b[i]] for i in range(m)]
+    cost = [-x for x in c] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
     d = 1
     while True:
@@ -86,20 +80,11 @@ def _simplex_max(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
         cost = bareiss_update(cost, prow, enter, d)
         basis[leave] = enter
         d = prow[enter]
-    x = [_ZERO] * n
+    x = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(rows[i][-1], d)
-    duals = [Fraction(cost[n + i] * scales[i], d * c_scale) for i in range(m)]
-    return Fraction(cost[-1], d * c_scale), tuple(x), tuple(duals)
-
-
-def _normalize_witness(t: list[Fraction]) -> tuple[Fraction, ...]:
-    ints, _ = scaled_to_ints(t)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+            x[basis[i]] = rows[i][-1]
+    return d, cost[-1], x, cost[n : n + m]
 
 
 def verify_infeasibility(
@@ -107,18 +92,19 @@ def verify_infeasibility(
 ) -> bool:
     """Check lambda >= 0, sum lambda >= 1 and lambda P + mu E = 0.
 
-    The multipliers are brought to one common denominator first, so integer
-    rows are checked in integers.
+    Every row must have as many entries as the first.  Rows and multipliers
+    may be ints or Fractions.
     """
     lam, mu = cert.positive_multipliers, cert.equality_multipliers
     if len(lam) != len(positives) or len(mu) != len(equalities):
         return False
-    coeffs, den = scaled_to_ints((*lam, *mu))
-    if any(l < 0 for l in coeffs[: len(lam)]) or sum(coeffs[: len(lam)]) < den:
+    if any(l < 0 for l in lam) or sum(lam) < 1:
         return False
-    nvars = len(positives[0]) if positives else (len(equalities[0]) if equalities else 0)
-    total = [0] * nvars
-    for coeff, row in zip(coeffs, (*positives, *equalities)):
+    rows = (*positives, *equalities)
+    if any(len(row) != len(rows[0]) for row in rows):
+        return False
+    total = [0] * len(rows[0])
+    for coeff, row in zip((*lam, *mu), rows):
         if coeff:
             total = [t + coeff * r for t, r in zip(total, row)]
     return not any(total)
@@ -127,58 +113,53 @@ def verify_infeasibility(
 def solve_strict_system(
     equalities: tuple[Row, ...], positives: tuple[Row, ...], nvars: int
 ) -> Witness | Infeasibility:
-    """Decide E t = 0, P t > 0 over the rationals."""
+    """Decide E t = 0, P t > 0 over the rationals, for integer E and P."""
     if not positives:
-        return Witness(tuple(_ZERO for _ in range(nvars)))
-    if equalities:
-        null = kernel_basis(equalities)
-    else:
-        null = int_identity(nvars)
+        return Witness((0,) * nvars)
+    null = kernel_basis(equalities) if equalities else int_identity(nvars)
     k = len(null)
-    reduced = []
-    for p in positives:
-        reduced.append(tuple(sum(pj * nj for pj, nj in zip(p, n) if pj) for n in null))
+    nonzero = [[(j, pj) for j, pj in enumerate(p) if pj] for p in positives]
+    reduced = [[sum(pj * v[j] for j, pj in nz) for v in null] for nz in nonzero]
     # variables: z split into z+ and z-, then eps; rows: -Pz + eps <= 0, eps <= 1
     m = len(reduced)
-    a = []
-    b = []
-    for r in reduced:
-        a.append([-x for x in r] + [x for x in r] + [_ONE])
-        b.append(_ZERO)
-    a.append([_ZERO] * (2 * k) + [_ONE])
-    b.append(_ONE)
-    c = [_ZERO] * (2 * k) + [_ONE]
-    value, x, duals = _simplex_max(a, b, c)
+    a = [[-x for x in r] + r + [1] for r in reduced]
+    a.append([0] * (2 * k) + [1])
+    b = [0] * m + [1]
+    c = [0] * (2 * k) + [1]
+    _, value, x, duals = _simplex_max(a, b, c)
     if value > 0:
-        z = [x[i] - x[k + i] for i in range(k)]
-        t = [sum(z[i] * null[i][j] for i in range(k)) for j in range(nvars)]
-        point = _normalize_witness(t)
-        t = [x.numerator for x in point]
-        for e in equalities:
-            if sum(c1 * t1 for c1, t1 in zip(e, t)) != 0:
-                raise InternalError("witness violates an equality")
-        for p in positives:
-            if sum(c1 * t1 for c1, t1 in zip(p, t)) <= 0:
-                raise InternalError("witness violates a strict inequality")
+        dz = [x[i] - x[k + i] for i in range(k)]
+        point = _primitive([sum(dz[i] * null[i][j] for i in range(k)) for j in range(nvars)])
+        if any(sum(r * t for r, t in zip(e, point)) for e in equalities):
+            raise InternalError("witness violates an equality")
+        if any(sum(r * t for r, t in zip(p, point)) <= 0 for p in positives):
+            raise InternalError("witness violates a strict inequality")
         return Witness(point)
     lam = duals[:m]
     if any(l < 0 for l in lam) or sum(lam) < 1:
         raise InternalError("simplex duals do not certify infeasibility")
-    mu = _solve_equality_multipliers(equalities, positives, lam)
-    cert = Infeasibility(tuple(lam), mu)
+    cert = _certificate(equalities, positives, lam)
     if not verify_infeasibility(equalities, positives, cert):
         raise InternalError("infeasibility certificate failed verification")
     return cert
 
 
-def _solve_equality_multipliers(
-    equalities: tuple[Row, ...], positives: tuple[Row, ...], lam
-) -> tuple[Fraction, ...]:
-    if not equalities:
-        return ()
-    nvars = len(positives[0])
-    rhs = tuple(-sum(l * p[j] for l, p in zip(lam, positives)) for j in range(nvars))
-    mu = solve(transpose(equalities), rhs)
-    if mu is None:
+def _certificate(
+    equalities: tuple[Row, ...], positives: tuple[Row, ...], lam: list[int]
+) -> Infeasibility:
+    """(lambda, mu) with mu E = -lambda P, divided by its gcd.
+
+    `echelon` on [E^T | -lambda P] ends with every pivot equal to e and
+    each row e times its reduced row, so mu = (last column) / e on the pivot
+    columns and 0 elsewhere.  The pair is scaled by |e| to stay integral.
+    """
+    ncols = len(equalities)
+    rhs = (-sum(l * p[j] for l, p in zip(lam, positives)) for j in range(len(positives[0])))
+    rows, pivots, e, _ = echelon([(*col, r) for col, r in zip(zip(*equalities), rhs)])
+    if ncols in pivots:
         raise InternalError("Farkas combination is not in the equality row space")
-    return tuple(mu)
+    mu = [0] * ncols
+    for row, p in zip(rows, pivots):
+        mu[p] = row[ncols] if e > 0 else -row[ncols]
+    lm = _primitive([abs(e) * l for l in lam] + mu)
+    return Infeasibility(lm[: len(lam)], lm[len(lam) :])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -127,10 +129,7 @@ def test_unconstrained_cell_feasible() -> None:
 
 
 def test_fully_pinched_cell() -> None:
-    rows = (
-        (F(1), F(0)),
-        (F(0), F(1)),
-    )
+    rows = ((1, 0), (0, 1))
     cls = classify_cell(rows, 2)
     assert not cls.feasible
     # n + 1 certificates: each step pins exactly one new coordinate.
@@ -320,7 +319,7 @@ def test_verify_rejects_tampered_branch_certificates(name, family) -> None:
 
 
 def test_audit_solves_no_lp(monkeypatch) -> None:
-    pinched = ((F(1), F(0)), (F(0), F(1)))
+    pinched = ((1, 0), (0, 1))
     cases = [(rows, n, classify_cell(rows, n)) for rows, n in _cells("a3_flip", "numerical")]
     cases.append((pinched, 2, classify_cell(pinched, 2)))
     monkeypatch.setattr(cells, "solve_strict_system", None)
@@ -352,3 +351,37 @@ def test_unconstrained_cell_runs_no_lp(monkeypatch) -> None:
     monkeypatch.setattr(cells, "solve_strict_system", None)
     for n in range(1, 7):
         assert classify_cell((), n) == CellClassification(True, ((F(0), F(1)),) * n, None)
+
+
+# ---------------------------------------------------------------- integer answers
+
+
+def _is_int_vector(v) -> bool:
+    return all(type(x) is int for x in v)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_witnesses_and_certificates_are_primitive_integer_vectors(name) -> None:
+    """Constraint rows are integral; each part of a witness is zero or
+    primitive, and each certificate (lambda, mu) has gcd 1."""
+    for family in ("numerical", "f"):
+        for rows, n in _cells(name, family):
+            assert all(_is_int_vector(row) for row in rows)
+            cls = classify_cell(rows, n)
+            if cls.feasible:
+                for part in zip(*cls.witness):
+                    assert _is_int_vector(part) and gcd(*part) in (0, 1), (rows, part)
+            else:
+                for step in cls.certificates:
+                    cert = step.certificate
+                    lm = (*cert.positive_multipliers, *cert.equality_multipliers)
+                    assert _is_int_vector(lm) and gcd(*lm) == 1, (rows, lm)
+
+
+@pytest.mark.parametrize("module", ("ratlp", "cells", "cli"))
+def test_lp_path_imports_nothing_from_fractions(module) -> None:
+    tree = ast.parse(Path(cells.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    imported = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    assert imported and "fractions" not in imported

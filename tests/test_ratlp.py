@@ -7,6 +7,7 @@ from pathlib import Path
 from foldstab import ratlp
 from foldstab.cells import classify_cell, f_constraints, numerical_constraints
 from foldstab.hearts import build_interval_eg
+from foldstab.linalg import scaled_to_ints
 from foldstab.ratlp import (
     Infeasibility,
     Witness,
@@ -20,8 +21,8 @@ from oracles import fraction_simplex_max
 F = Fraction
 
 
-def _rows(*rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(F(x) for x in row) for row in rows)
+def _rows(*rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(row) for row in rows)
 
 
 def _check(equalities, positives, res) -> None:
@@ -94,7 +95,7 @@ def test_three_rows_summing_to_zero() -> None:
 
 def test_near_degenerate_feasible() -> None:
     eqs = _rows((1, 1, -2),)
-    pos = _rows((1, -1, 0), (F(1, 7), F(2, 7), F(-3, 7)))
+    pos = _rows((1, -1, 0), (1, 2, -3))
     res = solve_strict_system(eqs, pos, 3)
     _check(eqs, pos, res)
 
@@ -123,6 +124,13 @@ def test_verify_rejects_bad_certificates() -> None:
     assert not verify_infeasibility(eqs, pos, Infeasibility((), ()))
 
 
+def test_verify_rejects_ragged_rows() -> None:
+    """Truncating to the shortest row would leave lambda P = (0, 5) unseen."""
+    assert not verify_infeasibility((), ((1,), (-1, 5)), Infeasibility((1, 1), ()))
+    assert not verify_infeasibility(((0,),), ((1, 0), (-1, 0)), Infeasibility((1, 1), (0,)))
+    assert verify_infeasibility(((0, 1),), ((1, 0), (-1, 0)), Infeasibility((1, 1), (0,)))
+
+
 def test_random_systems_always_decided() -> None:
     import random
 
@@ -146,8 +154,8 @@ def test_random_systems_always_decided() -> None:
 
 
 def test_verify_clears_denominators_of_fraction_rows() -> None:
-    pos = _rows((F(1, 2), 0), (F(-1, 3), 0))
-    eqs = _rows((0, F(2, 7)),)
+    pos = ((F(1, 2), F(0)), (F(-1, 3), F(0)))
+    eqs = ((F(0), F(2, 7)),)
     assert verify_infeasibility(eqs, pos, Infeasibility((F(2, 5), F(3, 5)), (F(0),)))
     assert not verify_infeasibility(eqs, pos, Infeasibility((F(1, 5), F(3, 5)), (F(0),)))
     assert not verify_infeasibility(eqs, pos, Infeasibility((F(1, 5), F(3, 10)), (F(0),)))
@@ -175,8 +183,13 @@ def _recorded_lps(monkeypatch, run) -> list:
 
 
 def _assert_same_as_oracle(lps) -> None:
+    """The integer simplex's answers over its d equal the Fraction tableau's."""
     for a, b, c in lps:
-        assert ratlp._simplex_max(a, b, c) == fraction_simplex_max(a, b, c), (a, b, c)
+        d, value, x, duals = ratlp._simplex_max(a, b, c)
+        assert d > 0
+        ours = F(value, d), tuple(F(v, d) for v in x), tuple(F(v, d) for v in duals)
+        fa = [[F(v) for v in row] for row in a]
+        assert ours == fraction_simplex_max(fa, [F(v) for v in b], [F(v) for v in c]), (a, b, c)
 
 
 def test_simplex_matches_fraction_oracle_on_cell_lps(monkeypatch) -> None:
@@ -195,26 +208,27 @@ def test_simplex_matches_fraction_oracle_on_cell_lps(monkeypatch) -> None:
 
 
 def test_simplex_matches_fraction_oracle_on_random_systems(monkeypatch) -> None:
-    """Entries over denominators 2, 3 and 7.  Every LP starts with all but
+    """Entries drawn over denominators 2, 3 and 7, each row scaled to
+    integers, which keeps its solution set.  Every LP starts with all but
     its last row at ratio 0, so with two or more strict rows Bland's
     tie-break picks the first pivot."""
     rng = random.Random(7)
+    scales = []
 
-    def entry():
-        return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7)))
+    def row(nvars):
+        drawn = [F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7))) for _ in range(nvars)]
+        ints, s = scaled_to_ints(drawn)
+        scales.append(s)
+        return tuple(ints)
 
     def solve_random_systems():
         for _ in range(2000):
             nvars = rng.randint(1, 4)
-            eqs = tuple(
-                tuple(entry() for _ in range(nvars)) for _ in range(rng.randint(0, 2))
-            )
-            pos = tuple(
-                tuple(entry() for _ in range(nvars)) for _ in range(rng.randint(1, 4))
-            )
+            eqs = tuple(row(nvars) for _ in range(rng.randint(0, 2)))
+            pos = tuple(row(nvars) for _ in range(rng.randint(1, 4)))
             _check(eqs, pos, solve_strict_system(eqs, pos, nvars))
 
     lps = _recorded_lps(monkeypatch, solve_random_systems)
     assert len(lps) >= 2000
-    assert any(x.denominator == 7 for a, _, _ in lps for row in a for x in row)
+    assert 7 in scales
     _assert_same_as_oracle(lps)

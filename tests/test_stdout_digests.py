@@ -1,12 +1,14 @@
 """stdout of classify and report is pinned byte for byte.
 
 The digests are sha256 of the bytes each command writes, on every fixture
-and on two seeded quivers built here rather than in specs/, so the CLI
-fuzz test does not read them: an A7 with 1430 hearts and a D5.  The fixture
-digests were taken when an empty cell's proof was still 2^n per-branch
-certificates, and the seeded ones while the rational kernels came from a
-Fraction rref; each guards that a later rewrite leaves every printed byte
-alone.  A change that alters output on purpose updates them and says so.
+and on three seeded quivers built here rather than in specs/, so the CLI
+fuzz test does not read them: an A7 with 1430 hearts, a D5 and an E7 with
+4160 hearts.  The fixture digests were taken when an empty cell's proof was
+still 2^n per-branch certificates, the A7 and D5 ones while the rational
+kernels came from a Fraction rref, and the E7 one while the LP still built
+its witnesses in Fractions; each guards that a later rewrite leaves every
+printed byte alone.  A change that alters output on purpose updates them
+and says so.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def test_every_fixture_is_pinned() -> None:
 SEEDED_CLASSIFY_DIGESTS = {
     ("A", 7, 7): "26b18fc6723d196729696a622facc7e3309903ae607eabc32f2ab4fe700dd0de",
     ("D", 5, 5): "8a78e8fdfe199b95040d759e00de3db79d9dc546ec5c118b6c3352840d2dda98",
+    ("E", 7, 1): "289ba1b4b906986b86a4bfb293dfb5a8752dde85cc808a1b6d12157812ac3dc3",
 }
 
 

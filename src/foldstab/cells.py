@@ -24,6 +24,7 @@ most n + 1 in all, rule out every one of the 2^n branches together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
@@ -35,11 +36,14 @@ from .reps import Catalog
 Complex = tuple[int, int]
 
 
+@lru_cache(maxsize=1)
 def heart_basis_inverse(catalog: Catalog, heart: Heart) -> IntMatrix:
     """Inverse of the heart's K-matrix, whose rows are the simples' classes.
 
     The simples of a heart form a basis of K(D), so the matrix is unimodular
     and its inverse is integral; any other determinant is an internal error.
+    The last inverse is kept: a caller that maps a witness back to vertices
+    right after `numerical_constraints` on the same heart does not redo it.
     """
     try:
         return unimodular_inverse(heart_k_matrix(catalog, heart))

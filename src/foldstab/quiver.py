@@ -12,8 +12,10 @@ vertex order: the hereditary form is delta_ij minus the arrow count i -> j,
 the CY3 form is its antisymmetrization, and the Cartan matrix its
 symmetrization.  `positive_roots` closes a finite-type Cartan matrix (of any
 crystallographic type) into its roots; catalog and Coxeter systems share it.
-A fold's valuation is read only through `folded_cartan`, its Cartan matrix in
-orbit coordinates, which `valued_type_name` matches against `cartan_for_type`.
+`cartan_type` is the one classifier of a Cartan matrix, symmetric or not:
+`dynkin_type` names Q by `cartan_matrix(q)`, and `valued_type_name` names the
+fold by `folded_cartan`, its Cartan matrix in orbit coordinates and the only
+reading of the fold's valuation.
 """
 
 from __future__ import annotations
@@ -90,25 +92,6 @@ class Quiver:
 
     def arrow_count(self, tail: int, head: int) -> int:
         return sum(1 for a in self.arrows if a.tail == tail and a.head == head)
-
-    @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Underlying-graph adjacency (undirected, without multiplicity)."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.tail].add(a.head)
-            adj[a.head].add(a.tail)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    def is_connected(self) -> bool:
-        stack = [self.vertices[0]]
-        seen = {self.vertices[0]}
-        while stack:
-            for w in self.neighbors[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -343,7 +326,10 @@ def positive_roots(cartan: IntMatrix) -> tuple[IntVector, ...]:
     """Sorted positive roots of a finite-type Cartan matrix, in the simple-root basis.
 
     Every positive root is reached from a simple root by reflections s_i that
-    raise the height, i.e. where <alpha_i^v, beta> < 0.
+    raise the height, i.e. where <alpha_i^v, beta> < 0.  No root of finite
+    type has a coefficient above 6 (E8's highest root peaks there), while an
+    infinite type has roots with unbounded coefficients; so the closure
+    raises UnsupportedTypeError at the first coefficient above 6.
     """
     n = len(cartan)
     simple = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
@@ -355,6 +341,8 @@ def positive_roots(cartan: IntMatrix) -> tuple[IntVector, ...]:
             for i, row in enumerate(cartan):
                 k = sum(c * b for c, b in zip(row, beta))
                 if k < 0:
+                    if beta[i] - k > 6:
+                        raise UnsupportedTypeError("Cartan matrix is not of finite type")
                     gamma = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
                     if gamma not in roots:
                         roots.add(gamma)
@@ -372,99 +360,76 @@ def frobenius_order(s: Automorphism) -> int:
     return math.lcm(*(len(o) for o in s.vertex_orbits))
 
 
-def dynkin_type(q: Quiver) -> tuple[str, int, tuple[int, ...]]:
-    """Classify the underlying graph as (family, rank, canonical vertex order).
+def cartan_type(c: IntMatrix) -> tuple[str, int, tuple[int, ...]]:
+    """Classify a connected finite-type Cartan matrix as (family, rank, node order).
 
-    Families are the simply laced ones; anything else (multi-arrows, cycles in
-    the underlying graph, bad branching) raises UnsupportedTypeError.  The
-    canonical order arranges a path end-to-end, and for branched types runs
-    along the long arm into the branch vertex, then lists the two short-arm
-    ends (sorted); it fixes how vertices map to Coxeter generator slots.
+    The bond graph (i ~ j when c_ij != 0) must be a tree with at most one
+    branch node.  A path, walked from its lower end, is A when simply laced,
+    else the first of B, C, F, G whose `cartan_for_type` it equals read in
+    either direction (so B2 wins over C2); the order is the matching one.  A
+    branched tree must be simply laced; D and E run along the long arm into
+    the branch node, then list the short arms (for D their ends, sorted).
     """
-    n = len(q.vertices)
-    seen_pairs = set()
-    for a in q.arrows:
-        pair = (min(a.tail, a.head), max(a.tail, a.head))
-        if pair in seen_pairs:
-            raise UnsupportedTypeError("multiple arrows between two vertices")
-        seen_pairs.add(pair)
-    if len(seen_pairs) != n - 1 or not q.is_connected():
+    n = len(c)
+    adj = [tuple(j for j in range(n) if j != i and c[i][j]) for i in range(n)]
+    seen, stack = {0}, [0]
+    while stack:
+        fresh = set(adj[stack.pop()]) - seen
+        seen |= fresh
+        stack += fresh
+    if sum(map(len, adj)) != 2 * (n - 1) or len(seen) != n:
         raise UnsupportedTypeError("underlying graph is not a tree")
-    deg = {v: len(q.neighbors[v]) for v in q.vertices}
-    branch = [v for v in q.vertices if deg[v] > 2]
-    if any(deg[v] > 3 for v in q.vertices) or len(branch) > 1:
+    branch = [i for i in range(n) if len(adj[i]) > 2]
+    if any(len(a) > 3 for a in adj) or len(branch) > 1:
         raise UnsupportedTypeError("underlying graph branches too much")
 
-    if not branch:
-        if n == 1:
-            return "A", 1, q.vertices
-        ends = sorted(v for v in q.vertices if deg[v] <= 1)
-        order = _walk_path(q, ends[0])
-        return "A", n, order
+    def walk(prev, node) -> tuple[int, ...]:
+        out = [node]
+        while nxt := [j for j in adj[node] if j != prev]:
+            prev, node = node, nxt[0]
+            out.append(node)
+        return tuple(out)
 
-    c = branch[0]
-    arms = []
-    for first in q.neighbors[c]:
-        arm = [first]
-        prev = c
-        while True:
-            nxt = [w for w in q.neighbors[arm[-1]] if w != prev]
-            if not nxt:
-                break
-            prev = arm[-1]
-            arm.append(nxt[0])
-        arms.append(arm)
-    arms.sort(key=lambda arm: (len(arm), arm[-1]))
+    laced = all(c[i][j] == -1 for i in range(n) for j in adj[i])
+    if not branch:
+        order = walk(None, min(i for i in range(n) if len(adj[i]) <= 1))
+        if laced:
+            return "A", n, order
+        along = {tuple(tuple(c[i][j] for j in seq) for i in seq): seq for seq in (order, order[::-1])}
+        for family in "BCFG":
+            try:
+                return family, n, along[cartan_for_type(family, n)]
+            except (KeyError, UnsupportedTypeError):
+                pass
+        raise UnsupportedTypeError("valued path is not of type B, C, F or G")
+    if not laced:
+        raise UnsupportedTypeError("branched diagram is not simply laced")
+    b = branch[0]
+    arms = sorted((walk(b, j) for j in adj[b]), key=lambda arm: (len(arm), arm[-1]))
     lengths = tuple(len(a) for a in arms)
     if lengths[:2] == (1, 1):
-        long = arms[2]
-        order = tuple(reversed(long)) + (c,) + tuple(sorted((arms[0][0], arms[1][0])))
-        return "D", n, order
+        return "D", n, arms[2][::-1] + (b,) + tuple(sorted((arms[0][0], arms[1][0])))
     if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
-        long = arms[2]
-        order = tuple(reversed(long)) + (c,) + tuple(arms[1]) + (arms[0][0],)
-        return "E", n, order
+        return "E", n, arms[2][::-1] + (b,) + arms[1] + arms[0]
     raise UnsupportedTypeError(f"arm lengths {lengths} are not of Dynkin shape")
 
 
-def _walk_path(q: Quiver, start: int) -> tuple[int, ...]:
-    order = [start]
-    prev = None
-    while True:
-        nxt = [w for w in q.neighbors[order[-1]] if w != prev]
-        if not nxt:
-            return tuple(order)
-        prev = order[-1]
-        order.append(nxt[0])
+def dynkin_type(q: Quiver) -> tuple[str, int, tuple[int, ...]]:
+    """Classify the underlying graph as (family, rank, canonical vertex order):
+    `cartan_type` of `cartan_matrix(q)`, its order mapped back to vertex ids.
+    The order fixes how vertices map to Coxeter generator slots."""
+    pairs = {frozenset((a.tail, a.head)) for a in q.arrows}
+    if len(pairs) != len(q.arrows):
+        raise UnsupportedTypeError("multiple arrows between two vertices")
+    family, rank, order = cartan_type(cartan_matrix(q))
+    return family, rank, tuple(q.vertices[i] for i in order)
 
 
 def valued_type_name(vq: ValuedQuiver) -> str | None:
-    """Name the fold by its folded Cartan matrix, or None if it is not of finite type.
-
-    The orbit graph (one edge per nonzero off-diagonal entry) must pass
-    `dynkin_type`.  A simply laced fold keeps that name; any other must be a
-    path whose Cartan matrix, read along the path in either direction, is
-    `cartan_for_type` of B, C, F or G (tried in that order, so B2 wins over
-    C2).
-    """
-    c = folded_cartan(vq)
-    names = [o.name for o in vq.vertices]
-    n = len(names)
-    edges = [(f"e{i}_{j}", names[i], names[j]) for i in range(n) for j in range(i + 1, n) if c[i][j]]
+    """Name the fold by `cartan_type` of its folded Cartan matrix, or None
+    if it is not of finite type."""
     try:
-        family, rank, order = dynkin_type(Quiver.make(names, edges))
+        family, rank, _ = cartan_type(folded_cartan(vq))
     except UnsupportedTypeError:
         return None
-    if all(c[i][j] in (0, -1) for i in range(n) for j in range(n) if i != j):
-        return f"{family}{rank}"
-    if family != "A":
-        return None
-    path = [names.index(v) for v in order]
-    along = [tuple(tuple(c[i][j] for j in seq) for i in seq) for seq in (path, path[::-1])]
-    for valued in "BCFG":
-        try:
-            if cartan_for_type(valued, n) in along:
-                return f"{valued}{n}"
-        except UnsupportedTypeError:
-            pass
-    return None
+    return f"{family}{rank}"

@@ -47,6 +47,12 @@ def test_weyl_group_orders() -> None:
     assert CoxeterSystem.from_type("D", 4).order == 192
 
 
+def test_infinite_type_has_no_coxeter_system() -> None:
+    affine_a2 = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    with pytest.raises(UnsupportedTypeError, match="not of finite type"):
+        CoxeterSystem(affine_a2)
+
+
 def test_from_quiver_slots(q_a3) -> None:
     system, slot_of = CoxeterSystem.from_quiver(q_a3)
     assert system.order == 24

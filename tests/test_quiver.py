@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from foldstab.errors import InputError, UnsupportedTypeError
 from foldstab.quiver import (
     Automorphism,
     Quiver,
+    cartan_for_type,
+    cartan_type,
     dynkin_type,
     euler_form_cy3,
     euler_form_hereditary,
@@ -17,6 +20,7 @@ from foldstab.quiver import (
     folded_cartan,
     frobenius_order,
     integer_kernel,
+    positive_roots,
     valued_type_name,
 )
 from foldstab.specfile import parse_quiver
@@ -39,18 +43,16 @@ def test_quiver_validation() -> None:
 def test_quiver_helpers(q_a3: Quiver) -> None:
     assert q_a3.arrow_count(2, 1) == 1
     assert q_a3.arrow_count(1, 2) == 0
-    assert q_a3.neighbors[2] == (1, 3)
-    assert q_a3.is_connected()
-    assert not Quiver.make([1, 2], []).is_connected()
 
 
-def test_automorphism_validation(q_a3: Quiver) -> None:
+def test_automorphism_validation(q_a3: Quiver, flip_a3: Automorphism) -> None:
     with pytest.raises(InputError):
         Automorphism(q_a3, (1, 1, 2), ("a", "b"))
     with pytest.raises(InputError):
         Automorphism(q_a3, (3, 2, 1), ("a", "b"))
     ident = Automorphism.identity(q_a3)
-    assert ident.is_identity
+    assert ident.is_identity()
+    assert not flip_a3.is_identity()
     assert ident.vertex_orbits == ((1,), (2,), (3,))
 
 
@@ -227,8 +229,12 @@ def test_dynkin_type_rejections() -> None:
     square = Quiver.make(
         [1, 2, 3, 4], [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)]
     )
-    with pytest.raises(UnsupportedTypeError):
+    with pytest.raises(UnsupportedTypeError, match="not a tree"):
         dynkin_type(square)
+    # Three edges on four vertices, but a triangle and an isolated vertex.
+    triangle = Quiver.make([1, 2, 3, 4], [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)])
+    with pytest.raises(UnsupportedTypeError, match="not a tree"):
+        dynkin_type(triangle)
     star4 = Quiver.make(
         [0, 1, 2, 3, 4],
         [("a", 0, 1), ("b", 0, 2), ("c", 0, 3), ("d", 0, 4)],
@@ -254,6 +260,49 @@ def test_non_dynkin_fold_has_no_name() -> None:
     kronecker = Quiver.make([1, 2], [("a", 1, 2), ("b", 1, 2)])
     vq = fold(kronecker, Automorphism.identity(kronecker))
     assert valued_type_name(vq) is None
+    # Swapping two arms of a 4-armed star leaves a branch node with a double bond.
+    star4 = Quiver.make([0, 1, 2, 3, 4], [("a", 0, 1), ("b", 0, 2), ("c", 0, 3), ("d", 0, 4)])
+    swap = Automorphism(star4, (0, 2, 1, 3, 4), ("b", "a", "c", "d"))
+    assert folded_cartan(fold(star4, swap))[0] == (2, -2, -1, -1)
+    assert valued_type_name(fold(star4, swap)) is None
+
+
+STANDARD_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [(f, n) for f in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", n) for n in (6, 7, 8)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family, rank", STANDARD_TYPES)
+def test_cartan_type_names_every_standard_matrix(family, rank) -> None:
+    """Relabelled nodes give the same name, and reading the matrix along the
+    returned order gives the same matrix.  C2 is B2 read backwards."""
+    standard = cartan_for_type(family, rank)
+    name, n, order = cartan_type(standard)
+    assert (name, n) == ("B" if (family, rank) == ("C", 2) else family, rank)
+    canonical = tuple(tuple(standard[i][j] for j in order) for i in order)
+    if name not in "ADE":
+        assert canonical == cartan_for_type(name, rank)
+    for seed in range(5):
+        perm = list(range(rank))
+        random.Random(seed).shuffle(perm)
+        relabelled = tuple(tuple(standard[i][j] for j in perm) for i in perm)
+        again, _, order = cartan_type(relabelled)
+        assert again == name
+        assert sorted(order) == list(range(rank))
+        assert tuple(tuple(relabelled[i][j] for j in order) for i in order) == canonical
+
+
+def test_positive_roots_refuses_infinite_type() -> None:
+    kronecker = ((2, -2), (-2, 2))
+    affine_a2 = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    for cartan in (kronecker, affine_a2):
+        with pytest.raises(UnsupportedTypeError, match="not of finite type"):
+            positive_roots(cartan)
+    assert positive_roots(((2, 0), (0, 2))) == ((0, 1), (1, 0))
 
 
 def test_frobenius_order(q_a3, flip_a3, rot_d4, swap_d4) -> None:

@@ -1,111 +1,7 @@
-"""Exact folding, tilting, stability, and braid toolkit for Dynkin quivers."""
+"""Exact folding, tilting, stability, and braid toolkit for Dynkin quivers.
 
-from .braid import (
-    CoxeterSystem,
-    GarsideNF,
-    normal_form,
-    parse_word,
-    render_nf,
-    verify_folded_relations,
-    words_equal,
-)
-from .cells import (
-    CellClassification,
-    classify_cell,
-    f_constraints,
-    fold_charge,
-    numerical_constraints,
-    slices_equal,
-    verify_classification,
-)
-from .errors import (
-    AdmissibilityError,
-    FoldstabError,
-    InputError,
-    InternalError,
-    SpecParseError,
-    UnsupportedTypeError,
-)
-from .hearts import (
-    ExchangeGraph,
-    FoldedEG,
-    Heart,
-    build_folded_eg,
-    build_interval_eg,
-    heart_label,
-    is_f_stable,
-    multi_tilt,
-    orbit_tilt,
-    seed_heart,
-    tilt_backward,
-    tilt_forward,
-)
-from .quiver import (
-    Automorphism,
-    Quiver,
-    ValuedQuiver,
-    cartan_type,
-    dynkin_type,
-    euler_form_cy3,
-    euler_form_hereditary,
-    fold,
-    frobenius_order,
-    integer_kernel,
-    valued_type_name,
-)
-from .reps import Catalog, Representation, cy3_hom_dims, ext1_dim, hom_dim
-from .specfile import parse_quiver
+Names are imported from their modules: `foldstab.quiver`, `foldstab.reps`,
+`foldstab.hearts`, `foldstab.cells`, `foldstab.braid`, and so on.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityError",
-    "Automorphism",
-    "Catalog",
-    "CellClassification",
-    "CoxeterSystem",
-    "ExchangeGraph",
-    "FoldedEG",
-    "FoldstabError",
-    "GarsideNF",
-    "Heart",
-    "InputError",
-    "InternalError",
-    "Quiver",
-    "Representation",
-    "SpecParseError",
-    "UnsupportedTypeError",
-    "ValuedQuiver",
-    "build_folded_eg",
-    "build_interval_eg",
-    "cartan_type",
-    "classify_cell",
-    "cy3_hom_dims",
-    "dynkin_type",
-    "euler_form_cy3",
-    "euler_form_hereditary",
-    "ext1_dim",
-    "f_constraints",
-    "fold",
-    "fold_charge",
-    "frobenius_order",
-    "heart_label",
-    "hom_dim",
-    "integer_kernel",
-    "is_f_stable",
-    "multi_tilt",
-    "normal_form",
-    "numerical_constraints",
-    "orbit_tilt",
-    "parse_quiver",
-    "parse_word",
-    "render_nf",
-    "seed_heart",
-    "slices_equal",
-    "tilt_backward",
-    "tilt_forward",
-    "valued_type_name",
-    "verify_classification",
-    "verify_folded_relations",
-    "words_equal",
-]

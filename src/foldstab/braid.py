@@ -15,22 +15,21 @@ equal in the braid group exactly when their normal forms coincide.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from operator import mul
 
 from .errors import InputError, UnsupportedTypeError, quote
 from .linalg import IntMatrix, int_identity
 from .quiver import (
-    Automorphism,
     Quiver,
+    ValuedQuiver,
     cartan_for_type,
     cartan_matrix,
     dynkin_type,
-    fold,
     folded_cartan,
     positive_roots,
-    valued_type_name,
+    weyl_degrees,
 )
 from .specfile import ascii_int
 
@@ -62,12 +61,7 @@ class CoxeterSystem:
         self.gens: tuple[IntMatrix, ...] = tuple(self.gen_times(t, self.identity) for t in range(n))
         roots = positive_roots(cartan)
         self._two_rho = tuple(map(sum, zip(*roots)))
-        # Roots by height form the partition dual to the exponents m_i
-        # (Kostant), and |W| is the product of the degrees m_i + 1.
-        by_height = Counter(map(sum, roots))
-        self.order = 1
-        for h, count in by_height.items():
-            self.order *= (h + 1) ** (count - by_height.get(h + 1, 0))
+        self.order = prod(weyl_degrees(roots))
         w = self.identity
         while True:
             up = next((s for s, col in enumerate(zip(*w)) if sum(col) > 0), None)
@@ -79,9 +73,13 @@ class CoxeterSystem:
         self.sigma = tuple(col.index(-1) for col in zip(*w))
 
     @classmethod
-    def from_quiver(cls, q: Quiver) -> tuple["CoxeterSystem", dict[int, int]]:
-        """System of the underlying Dynkin diagram plus vertex -> slot map."""
-        _, _, order = dynkin_type(q)
+    def from_quiver(
+        cls, q: Quiver, order: tuple[int, ...] | None = None
+    ) -> tuple["CoxeterSystem", dict[int, int]]:
+        """System of the underlying Dynkin diagram plus vertex -> slot map.
+        The slots follow `order`, by default the one `dynkin_type` gives."""
+        if order is None:
+            _, _, order = dynkin_type(q)
         c = cartan_matrix(q)
         idx = [q.vertex_index[v] for v in order]
         system = cls(tuple(tuple(c[i][j] for j in idx) for i in idx))
@@ -248,47 +246,51 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def render_nf(system: CoxeterSystem, nf: GarsideNF) -> str:
+    """Delta power, then each factor as a reduced word; from rank 10 on, the
+    letters of a factor are spaced so that 12 and 1 2 differ."""
+    sep = " " if system.rank >= 10 else ""
     parts = []
     if nf.power:
         parts.append(f"D^{nf.power}" if nf.power != 1 else "D")
     for f in nf.factors:
-        parts.append("".join(str(s + 1) for s in system.reduced_word(f)))
+        parts.append(sep.join(str(s + 1) for s in system.reduced_word(f)))
     return " . ".join(parts) if parts else "e"
 
 
 @dataclass(frozen=True)
 class RelationCheck:
-    source_orbit: str
-    target_orbit: str
+    source: str  # orbit names
+    target: str
     exponent: int
     holds: bool
     lhs_nf: str
     rhs_nf: str
 
 
-def orbit_words(q: Quiver, s: Automorphism, slot_of: dict[int, int]) -> dict[str, tuple[int, ...]]:
+def orbit_words(vq: ValuedQuiver, slot_of: dict[int, int]) -> dict[str, tuple[int, ...]]:
     """Each orbit maps to the slots of its members, ascending by vertex id."""
-    vq = fold(q, s)
     return {ov.name: tuple(slot_of[v] for v in ov.members) for ov in vq.vertices}
 
 
-def verify_folded_relations(q: Quiver, s: Automorphism) -> tuple[tuple[RelationCheck, ...], str | None]:
+def verify_folded_relations(
+    vq: ValuedQuiver, system: CoxeterSystem, slot_of: dict[int, int]
+) -> tuple[RelationCheck, ...]:
     """Check the folded braid relations inside the ambient braid group.
 
-    For every pair of vertex orbits the folded exponent m is read off the
-    product c_IJ c_JI of `folded_cartan`; the two alternating products of m
-    orbit generators must agree.  Returns the per-pair results (with
-    rendered normal forms) and the folded type name.
+    `vq` is the fold of Q, and `system` with `slot_of` is the Coxeter system
+    of Q with its vertex -> slot map (`CoxeterSystem.from_quiver`).  For every
+    pair of vertex orbits the folded exponent m is read off the product
+    c_IJ c_JI of `folded_cartan`; the two alternating products of m orbit
+    generators must agree.  Returns the per-pair results with rendered
+    normal forms.
     """
-    vq = fold(q, s)
     c = folded_cartan(vq)
     n = len(c)
     try:
         exponents = {(i, j): _EXPONENT[c[i][j] * c[j][i]] for i in range(n) for j in range(i + 1, n)}
     except KeyError:
         raise UnsupportedTypeError("fold is not of Dynkin shape") from None
-    system, slot_of = CoxeterSystem.from_quiver(q)
-    words = orbit_words(q, s, slot_of)
+    words = orbit_words(vq, slot_of)
     checks = []
     for (i, j), m in exponents.items():
         a, b = vq.vertices[i].name, vq.vertices[j].name
@@ -305,4 +307,4 @@ def verify_folded_relations(q: Quiver, s: Automorphism) -> tuple[tuple[RelationC
                 render_nf(system, nf_l), render_nf(system, nf_r),
             )
         )
-    return tuple(checks), valued_type_name(vq)
+    return tuple(checks)

@@ -1,16 +1,22 @@
 """Command line driver.
 
-    foldstab <command> <specfile> [--fold] [--format dot|json|table]
-             [--out PATH] [--check "WORD = WORD"]
+    foldstab fold     <specfile> [--format dot|json|table] [--out PATH]
+    foldstab eg       <specfile> [--fold] [--format dot|json|table] [--out PATH]
+    foldstab classify <specfile> [--fold] [--format json|table] [--out PATH]
+    foldstab braid    <specfile> [--check "WORD = WORD"] [--format json|table] [--out PATH]
+    foldstab report   <specfile> [--fold] [--format json|table] [--out PATH]
 
 Commands: fold (orbit table of the folded quiver), eg (exchange graph),
 classify (stability cells per heart), braid (folded relation verification),
-report (aggregate of all four).  Each command builds one JSON-shaped payload
-from a cached ``Analysis`` and renders it as table, dot or JSON; ``report``
-is the four payloads, so it computes each artefact once.  Output is
-deterministic: identical inputs give byte-identical bytes.  Exit codes:
-0 success, 2 input error, 3 unsupported quiver type, 4 internal invariant
-failure.
+report (aggregate of all four).  One table, ``_COMMANDS``, holds each
+command's help text, default format, payload builder, table renderer, dot
+renderer if it has one, and the help of ``--fold`` if the flag changes its
+output; the parser is built from it, so a flag or format that would do
+nothing is an argument error.  A payload is JSON-shaped and built from a
+cached ``Analysis``; ``report`` is the four other payloads, so it computes
+each artefact once.  Output is deterministic: identical inputs give
+byte-identical bytes.  Exit codes: 0 success, 2 input error, 3 unsupported
+quiver type, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import asdict
 from functools import cached_property
+from typing import NamedTuple
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
 from .cells import (
@@ -56,11 +65,6 @@ def _load(path: str) -> tuple[Quiver, Automorphism]:
     return q, (s if s is not None else Automorphism.identity(q))
 
 
-def _ambient_name(q: Quiver) -> str:
-    family, rank, _ = dynkin_type(q)
-    return f"{family}{rank}"
-
-
 def _fmt_complex(x: str, y: str) -> str:
     sign, im = ("-", y[1:]) if y.startswith("-") else ("+", y)
     return f"{x}{sign}{im}i"
@@ -70,7 +74,8 @@ class Analysis:
     """The artefacts of one pair (Q, S), each computed on first use and kept.
 
     Every command reads what it needs from here, so ``report`` builds the
-    catalog, the transport permutation and each exchange graph once.
+    fold, the catalog, the transport permutation, each exchange graph and
+    the Coxeter system once.
     """
 
     def __init__(self, q: Quiver, s: Automorphism):
@@ -80,6 +85,16 @@ class Analysis:
     @cached_property
     def folded(self) -> ValuedQuiver:
         return fold(self.q, self.s)
+
+    @cached_property
+    def folded_type(self) -> str | None:
+        return valued_type_name(self.folded)
+
+    @cached_property
+    def coxeter(self) -> tuple[str, CoxeterSystem, dict[int, int]]:
+        """Q's type name, and its Coxeter system with the vertex -> slot map."""
+        family, rank, order = dynkin_type(self.q)
+        return (f"{family}{rank}", *CoxeterSystem.from_quiver(self.q, order))
 
     @cached_property
     def catalog(self) -> Catalog:
@@ -100,10 +115,10 @@ class Analysis:
 
 # ---------------------------------------------------------------- fold
 
-def _fold_payload(a: Analysis) -> dict:
+def _fold_payload(a: Analysis, folded: bool, check: str | None) -> dict:
     vq = a.folded
     return {
-        "folded_type": valued_type_name(vq),
+        "folded_type": a.folded_type,
         "orbits": [
             {"name": ov.name, "size": ov.size, "members": list(ov.members)}
             for ov in vq.vertices
@@ -143,7 +158,7 @@ def _fold_dot(p: dict) -> str:
 
 # ---------------------------------------------------------------- eg
 
-def _eg_payload(a: Analysis, folded: bool) -> dict:
+def _eg_payload(a: Analysis, folded: bool, check: str | None) -> dict:
     catalog, perm = a.catalog, a.perm
     if folded:
         graph = a.folded_eg
@@ -201,7 +216,7 @@ def _eg_table(p: dict) -> str:
 
 # ---------------------------------------------------------------- classify
 
-def _classify_payload(a: Analysis, folded: bool) -> dict:
+def _classify_payload(a: Analysis, folded: bool, check: str | None) -> dict:
     catalog, perm, graph, vq = a.catalog, a.perm, a.interval_eg, a.folded
     rows = []
     for i, h in enumerate(graph.hearts):
@@ -273,13 +288,12 @@ def _classify_table(p: dict) -> str:
 
 # ---------------------------------------------------------------- braid
 
-def _braid_payload(a: Analysis, check: str | None) -> dict:
-    ambient = _ambient_name(a.q)
+def _braid_payload(a: Analysis, folded: bool, check: str | None) -> dict:
+    ambient, system, slot_of = a.coxeter
     if check is not None:
         if check.count("=") != 1:
             raise InputError('braid --check expects "WORD = WORD"')
         lhs_text, rhs_text = check.split("=")
-        system, _ = CoxeterSystem.from_quiver(a.q)
         lhs = parse_word(lhs_text)
         rhs = parse_word(rhs_text)
         for slot, _ in lhs + rhs:
@@ -294,21 +308,11 @@ def _braid_payload(a: Analysis, check: str | None) -> dict:
             "rhs_nf": render_nf(system, nf_r),
             "verified": nf_l == nf_r,
         }
-    checks, folded_name = verify_folded_relations(a.q, a.s)
-    relations = [
-        {
-            "source": c.source_orbit,
-            "target": c.target_orbit,
-            "exponent": c.exponent,
-            "holds": c.holds,
-            "lhs_nf": c.lhs_nf,
-            "rhs_nf": c.rhs_nf,
-        }
-        for c in checks
-    ]
+    checks = verify_folded_relations(a.folded, system, slot_of)
+    relations = [asdict(c) for c in checks]
     return {
         "ambient_type": ambient,
-        "folded_type": folded_name,
+        "folded_type": a.folded_type,
         "relations": relations,
         "verified": all(r["holds"] for r in relations),
     }
@@ -346,52 +350,50 @@ _SECTIONS = (
 )
 
 
-def _payload(cmd: str, a: Analysis, folded: bool, check: str | None) -> dict:
-    if cmd == "fold":
-        return _fold_payload(a)
-    if cmd == "eg":
-        return _eg_payload(a, folded)
-    if cmd == "classify":
-        return _classify_payload(a, folded)
-    if cmd == "braid":
-        return _braid_payload(a, check)
-    return {key: _payload(sub, a, folded, None) for key, sub, _ in _SECTIONS}
+def _report_payload(a: Analysis, folded: bool, check: str | None) -> dict:
+    return {key: _COMMANDS[cmd].payload(a, folded, None) for key, cmd, _ in _SECTIONS}
 
 
 def _report_table(p: dict) -> str:
     return "\n\n".join(
-        f"== {heading} ==\n" + _TABLES[sub](p[key]).rstrip("\n") for key, sub, heading in _SECTIONS
+        f"== {heading} ==\n" + _COMMANDS[cmd].table(p[key]).rstrip("\n")
+        for key, cmd, heading in _SECTIONS
     ) + "\n"
-
-
-_TABLES = {
-    "fold": _fold_table,
-    "eg": _eg_table,
-    "classify": _classify_table,
-    "braid": _braid_table,
-    "report": _report_table,
-}
-_DOTS = {"fold": _fold_dot, "eg": _eg_dot}
 
 
 # ---------------------------------------------------------------- driver
 
-_DEFAULT_FORMAT = {
-    "fold": "table",
-    "eg": "dot",
-    "classify": "table",
-    "braid": "table",
-    "report": "json",
+class _Command(NamedTuple):
+    """What the parser offers a command, and how its payload is built and rendered."""
+
+    help: str
+    default_format: str
+    payload: Callable[[Analysis, bool, str | None], dict]
+    table: Callable[[dict], str]
+    dot: Callable[[dict], str] | None = None
+    fold_help: str | None = None  # None: --fold would not change the output
+
+
+_COMMANDS = {
+    "fold": _Command(
+        "orbit table of the folded (valued) quiver", "table", _fold_payload, _fold_table, _fold_dot
+    ),
+    "eg": _Command(
+        "exchange graph of hearts under simple tilting", "dot", _eg_payload, _eg_table, _eg_dot,
+        "the exchange graph of F-stable hearts under orbit tilts",
+    ),
+    "classify": _Command(
+        "numerical stability cell per heart, with proofs", "table", _classify_payload,
+        _classify_table, fold_help="add the folded central charge of each nonempty cell",
+    ),
+    "braid": _Command(
+        "verify the folded braid relations via Garside forms", "table", _braid_payload, _braid_table
+    ),
+    "report": _Command(
+        "run fold, eg, classify, and braid in one bundle", "json", _report_payload, _report_table,
+        fold_help="pass --fold to eg and classify",
+    ),
 }
-
-
-def _render(cmd: str, fmt: str, a: Analysis, folded: bool, check: str | None) -> str:
-    if fmt == "dot" and cmd not in _DOTS:
-        raise InputError(f"{cmd} has no dot rendering; use --format table or json")
-    payload = _payload(cmd, a, folded, check)
-    if fmt == "json":
-        return json.dumps({"schema": 1, **payload}, indent=2) + "\n"
-    return (_DOTS if fmt == "dot" else _TABLES)[cmd](payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,49 +403,35 @@ def build_parser() -> argparse.ArgumentParser:
         "stability cells, and verify folded braid relations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("fold", "orbit table of the folded (valued) quiver"),
-        ("eg", "exchange graph of hearts under simple tilting"),
-        ("classify", "numerical stability cell per heart, with proofs"),
-        ("braid", "verify the folded braid relations via Garside forms"),
-        ("report", "run fold, eg, classify, and braid in one bundle"),
-    ):
-        p = sub.add_parser(name, help=blurb)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("specfile", help="quiver spec file")
-        p.add_argument("--fold", action="store_true", help="use the folded graph/charges")
-        p.add_argument(
-            "--format",
-            choices=("dot", "json", "table"),
-            default=None,
-            help=f"output format (default: {_DEFAULT_FORMAT[name]})",
-        )
-        p.add_argument("--out", default=None, help="write output to this file")
+        if cmd.fold_help:
+            p.add_argument("--fold", action="store_true", help=cmd.fold_help)
+        formats = ("dot", "json", "table") if cmd.dot else ("json", "table")
+        p.add_argument("--format", choices=formats, default=cmd.default_format,
+                       help=f"output format (default: {cmd.default_format})")
+        p.add_argument("--out", help="write output to this file")
         if name == "braid":
-            p.add_argument(
-                "--check",
-                default=None,
-                metavar='"WORD = WORD"',
-                help="check one braid word equality, e.g. \"1 2 1 = 2 1 2\"",
-            )
+            p.add_argument("--check", metavar='"WORD = WORD"',
+                           help='check one braid word equality, e.g. "1 2 1 = 2 1 2"')
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     try:
         analysis = Analysis(*_load(args.specfile))
-        fmt = args.format or _DEFAULT_FORMAT[args.command]
-        text = _render(args.command, fmt, analysis, args.fold, getattr(args, "check", None))
-    except InputError as exc:
-        print(f"foldstab: error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedTypeError as exc:
-        print(f"foldstab: error: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"foldstab: internal error: {exc}", file=sys.stderr)
-        return 4
+        payload = cmd.payload(analysis, getattr(args, "fold", False), getattr(args, "check", None))
+        if args.format == "json":
+            text = json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+        else:
+            text = (cmd.dot if args.format == "dot" else cmd.table)(payload)
+    except (InputError, UnsupportedTypeError, InternalError) as exc:
+        internal = isinstance(exc, InternalError)
+        print(f"foldstab: {'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
+        return 4 if internal else 3 if isinstance(exc, UnsupportedTypeError) else 2
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

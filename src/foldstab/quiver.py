@@ -11,7 +11,8 @@ Euler forms live on the free abelian group over the vertices, in sorted
 vertex order: the hereditary form is delta_ij minus the arrow count i -> j,
 the CY3 form is its antisymmetrization, and the Cartan matrix its
 symmetrization.  `positive_roots` closes a finite-type Cartan matrix (of any
-crystallographic type) into its roots; catalog and Coxeter systems share it.
+crystallographic type) into its roots; catalog and Coxeter systems share it,
+and `weyl_degrees` reads the Weyl group's degrees off their heights.
 `cartan_type` is the one classifier of a Cartan matrix, symmetric or not:
 `dynkin_type` names Q by `cartan_matrix(q)`, and `valued_type_name` names the
 fold by `folded_cartan`, its Cartan matrix in orbit coordinates and the only
@@ -21,6 +22,7 @@ reading of the fold's valuation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -349,6 +351,19 @@ def positive_roots(cartan: IntMatrix) -> tuple[IntVector, ...]:
                         nxt.append(gamma)
         frontier = nxt
     return tuple(sorted(roots))
+
+
+def weyl_degrees(roots: tuple[IntVector, ...]) -> tuple[int, ...]:
+    """Degrees of the Weyl group of a finite root system, ascending.
+
+    The positive roots by height form the partition dual to the exponents
+    m_i (Kostant), and the degrees are m_i + 1.  |W| is their product.  For
+    an irreducible system the largest degree is the Coxeter number h, and the
+    W-Catalan number prod (h + d_i) / d_i counts the hearts of the interval
+    exchange graph.
+    """
+    by_height = Counter(map(sum, roots))
+    return tuple(sorted(h + 1 for h, k in by_height.items() for _ in range(k - by_height[h + 1])))
 
 
 def integer_kernel(form: BilinearForm) -> tuple[IntVector, ...]:

@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import mul
 
 from .errors import InternalError, UnsupportedTypeError
@@ -32,6 +33,7 @@ from .quiver import (
     euler_form_hereditary,
     integer_kernel,
     positive_roots,
+    weyl_degrees,
 )
 
 _ZERO = Fraction(0)
@@ -461,6 +463,10 @@ class _Bricks(Sequence):
         return tuple(_build_indecomposable(self._quiver, d) for d in self._roots)
 
 
+# Most hearts an interval exchange graph may have: E8's W-Catalan number.
+MAX_HEARTS = 25_080
+
+
 class Catalog:
     """All indecomposables of a Dynkin quiver, in a fixed deterministic order.
 
@@ -474,11 +480,15 @@ class Catalog:
 
     def __init__(self, q: Quiver):
         self.quiver = q
-        dynkin_type(q)  # reflection closure only terminates for finite type
-        roots = sorted(positive_roots(cartan_matrix(q)), key=lambda d: _catalog_sort_key(q, d))
-        if len(roots) > 120:
-            raise UnsupportedTypeError("catalog too large; quiver is not small Dynkin")
-        self.roots: tuple[tuple[int, ...], ...] = tuple(roots)
+        family, n, _ = dynkin_type(q)
+        roots = positive_roots(cartan_matrix(q))
+        degrees = weyl_degrees(roots)
+        hearts = prod(degrees[-1] + d for d in degrees) // prod(degrees)
+        if hearts > MAX_HEARTS:
+            raise UnsupportedTypeError(f"{family}{n} has {hearts} hearts; the limit is E8's {MAX_HEARTS}")
+        self.roots: tuple[tuple[int, ...], ...] = tuple(
+            sorted(roots, key=lambda d: _catalog_sort_key(q, d))
+        )
         self.reps: Sequence[Representation] = _Bricks(q, self.roots)
         self.by_dims = {d: i for i, d in enumerate(self.roots)}
         labels = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -23,7 +24,7 @@ from foldstab.braid import (
 )
 from foldstab.errors import InputError, UnsupportedTypeError
 from foldstab.linalg import mat_mul
-from foldstab.quiver import euler_form_cy3
+from foldstab.quiver import euler_form_cy3, fold, valued_type_name
 from foldstab.specfile import parse_quiver
 
 
@@ -148,8 +149,15 @@ def test_a3_half_twist_squares_to_delta(q_a3) -> None:
     assert words_equal(system, parse_word("1 3 2 1 3 2"), parse_word("2 1 3 2 1 3"))
 
 
+def folded_relations(q, s):
+    """The relation checks of the fold of (q, s), and the fold's type name."""
+    vq = fold(q, s)
+    system, slot_of = CoxeterSystem.from_quiver(q)
+    return verify_folded_relations(vq, system, slot_of), valued_type_name(vq)
+
+
 def test_folded_relations_a3(q_a3, flip_a3) -> None:
-    checks, name = verify_folded_relations(q_a3, flip_a3)
+    checks, name = folded_relations(q_a3, flip_a3)
     assert name == "B2"
     assert len(checks) == 1
     c = checks[0]
@@ -159,18 +167,18 @@ def test_folded_relations_a3(q_a3, flip_a3) -> None:
 
 
 def test_folded_relations_d4(q_d4, rot_d4, swap_d4) -> None:
-    checks, name = verify_folded_relations(q_d4, rot_d4)
+    checks, name = folded_relations(q_d4, rot_d4)
     assert name == "G2"
     assert [c.exponent for c in checks] == [6]
     assert all(c.holds for c in checks)
-    checks, name = verify_folded_relations(q_d4, swap_d4)
+    checks, name = folded_relations(q_d4, swap_d4)
     assert name == "B3"
     assert sorted(c.exponent for c in checks) == [2, 3, 4]
     assert all(c.holds for c in checks)
 
 
 def test_folded_relations_a5(q_a5, flip_a5) -> None:
-    checks, name = verify_folded_relations(q_a5, flip_a5)
+    checks, name = folded_relations(q_a5, flip_a5)
     assert name == "C3"
     assert sorted(c.exponent for c in checks) == [2, 3, 4]
     assert all(c.holds for c in checks)
@@ -179,7 +187,7 @@ def test_folded_relations_a5(q_a5, flip_a5) -> None:
 def test_folded_relations_identity(q_a2) -> None:
     from foldstab.quiver import Automorphism
 
-    checks, name = verify_folded_relations(q_a2, Automorphism.identity(q_a2))
+    checks, name = folded_relations(q_a2, Automorphism.identity(q_a2))
     assert name == "A2"
     assert [c.exponent for c in checks] == [3]
     assert all(c.holds for c in checks)
@@ -187,8 +195,21 @@ def test_folded_relations_identity(q_a2) -> None:
 
 def test_orbit_words(q_a3, flip_a3) -> None:
     _, slot_of = CoxeterSystem.from_quiver(q_a3)
-    words = orbit_words(q_a3, flip_a3, slot_of)
+    words = orbit_words(fold(q_a3, flip_a3), slot_of)
     assert words == {1: (0, 2), 2: (1,)}
+
+
+def test_normal_forms_render_unambiguously_from_rank_10() -> None:
+    system = CoxeterSystem.from_type("A", 12)
+    assert render_nf(system, normal_form(system, parse_word("12"))) == "12"
+    assert render_nf(system, normal_form(system, parse_word("1 2"))) == "1 2"
+    assert render_nf(system, normal_form(system, parse_word("1 1 12"))) == "1 12 . 1"
+    forms: dict[str, set[GarsideNF]] = {}
+    for k in range(1, 4):
+        for letters in itertools.product(range(12), repeat=k):
+            nf = normal_form(system, tuple((s, 1) for s in letters))
+            forms.setdefault(render_nf(system, nf), set()).add(nf)
+    assert all(len(nfs) == 1 for nfs in forms.values())
 
 
 def test_twist_matrices(cat_a3) -> None:
@@ -225,7 +246,7 @@ def test_e6_fold_relations() -> None:
     spec = Path(__file__).resolve().parent.parent / "specs" / "e6_fold.toml"
     with open(spec, encoding="utf-8") as fh:
         q, s = parse_quiver(fh.read())
-    checks, name = verify_folded_relations(q, s)
+    checks, name = folded_relations(q, s)
     assert name == "F4"
     assert sorted(c.exponent for c in checks) == [2, 2, 2, 3, 3, 4]
     assert all(c.holds for c in checks)

@@ -5,11 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from foldstab.cli import main
+from foldstab.cli import build_parser, main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 A3 = str(SPECS / "a3_flip.toml")
@@ -19,6 +20,11 @@ D4_ROT = str(SPECS / "d4_triality.toml")
 D4_SWAP = str(SPECS / "d4_swap.toml")
 A5 = str(SPECS / "a5_flip.toml")
 E6 = str(SPECS / "e6_fold.toml")
+
+COMMANDS = ("fold", "eg", "classify", "braid", "report")
+# The commands whose output --fold changes, and those with a dot rendering.
+FOLD_COMMANDS = ("eg", "classify", "report")
+DOT_COMMANDS = ("fold", "eg")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -325,7 +331,8 @@ def test_report_json_sections_equal_standalone_payloads(capsys, spec, flags) -> 
     report = json_payload(capsys, "report", spec, *flags)
     assert list(report) == [key for key, _, _ in REPORT_SECTIONS]
     for key, cmd, _ in REPORT_SECTIONS:
-        assert report[key] == json_payload(capsys, cmd, spec, *flags), key
+        own = flags if cmd in FOLD_COMMANDS else ()
+        assert report[key] == json_payload(capsys, cmd, spec, *own), key
 
 
 @pytest.mark.parametrize("flags", [(), ("--fold",)], ids=["interval", "folded"])
@@ -335,7 +342,8 @@ def test_report_table_sections_equal_standalone_tables(capsys, spec, flags) -> N
     assert code == 0
     sections = []
     for _, cmd, heading in REPORT_SECTIONS:
-        code, table, _ = run_cli(capsys, cmd, spec, "--format", "table", *flags)
+        own = flags if cmd in FOLD_COMMANDS else ()
+        code, table, _ = run_cli(capsys, cmd, spec, "--format", "table", *own)
         assert code == 0
         sections.append(f"== {heading} ==\n{table}")
     assert out == "\n".join(sections)
@@ -344,14 +352,13 @@ def test_report_table_sections_equal_standalone_tables(capsys, spec, flags) -> N
 @pytest.mark.parametrize("flags", [(), ("--fold",)], ids=["interval", "folded"])
 def test_report_builds_each_artefact_once(capsys, monkeypatch, flags) -> None:
     import foldstab.cli as cli
+    from foldstab import quiver
+    from foldstab.braid import CoxeterSystem
     from foldstab.reps import Catalog
 
-    calls = {"catalog": 0, "interval_eg": 0, "folded_eg": 0}
-    catalog_init = Catalog.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls["catalog"] += 1
-        catalog_init(self, *args, **kwargs)
+    calls = dict.fromkeys(
+        ("catalog", "coxeter", "interval_eg", "folded_eg", "fold", "valued_type_name", "dynkin_type"), 0
+    )
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -360,12 +367,28 @@ def test_report_builds_each_artefact_once(capsys, monkeypatch, flags) -> None:
 
         return wrapper
 
-    monkeypatch.setattr(Catalog, "__init__", counting_init)
+    monkeypatch.setattr(Catalog, "__init__", counted("catalog", Catalog.__init__))
+    monkeypatch.setattr(CoxeterSystem, "__init__", counted("coxeter", CoxeterSystem.__init__))
     monkeypatch.setattr(cli, "build_interval_eg", counted("interval_eg", cli.build_interval_eg))
     monkeypatch.setattr(cli, "build_folded_eg", counted("folded_eg", cli.build_folded_eg))
+    # Wrap the quiver functions in every foldstab module that bound them.
+    for name in ("fold", "valued_type_name", "dynkin_type"):
+        fn = getattr(quiver, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("foldstab")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
     code, _, _ = run_cli(capsys, "report", A5, *flags)
     assert code == 0
-    assert calls == {"catalog": 1, "interval_eg": 1, "folded_eg": len(flags)}
+    # Catalog checks the type on its own, so dynkin_type may run twice.
+    assert calls.pop("dynkin_type") <= 2
+    assert calls == {
+        "catalog": 1,
+        "coxeter": 1,
+        "interval_eg": 1,
+        "folded_eg": len(flags),
+        "fold": 1,
+        "valued_type_name": 1,
+    }
 
 
 def test_missing_file(capsys) -> None:
@@ -416,9 +439,38 @@ def test_parse_error_position(capsys, tmp_path) -> None:
 
 
 def test_dot_unsupported_for_classify(capsys) -> None:
-    code, _, err = run_cli(capsys, "classify", A3, "--format", "dot")
-    assert code == 2
-    assert "no dot rendering" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", A3, "--format", "dot"])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'dot'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_offers_each_command_only_its_own_flags(capsys, command) -> None:
+    parser = build_parser()
+    extras = (
+        (("--fold",), command in FOLD_COMMANDS),
+        (("--format", "dot"), command in DOT_COMMANDS),
+        (("--check", "1 = 1"), command == "braid"),
+    )
+    for extra, accepted in extras:
+        argv = [command, A3, *extra]
+        if accepted:
+            parser.parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: foldstab") and "Traceback" not in err
+        assert extra[-1] in err.splitlines()[-1]
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert ("--fold" in help_text) == (command in FOLD_COMMANDS)
+    assert ("{dot," in help_text) == (command in DOT_COMMANDS)
+    assert ("--check" in help_text) == (command == "braid")
 
 
 def test_jobs_validation(capsys) -> None:
@@ -441,6 +493,43 @@ def test_unsupported_type_exit_code(capsys, tmp_path) -> None:
     assert code == 3
     code, _, _ = run_cli(capsys, "fold", str(spec))
     assert code == 0
+
+
+def linear_a12_spec(tmp_path) -> str:
+    spec = tmp_path / "a12.toml"
+    arrows = ", ".join(f'"a{v}: {v} -> {v + 1}"' for v in range(1, 12))
+    spec.write_text(f"[quiver]\nvertices = {list(range(1, 13))}\narrows = [{arrows}]\n", encoding="utf-8")
+    return str(spec)
+
+
+def test_catalog_guard_refuses_a12_before_any_walk(capsys, monkeypatch, tmp_path) -> None:
+    import foldstab.cli as cli
+
+    def no_walk(*args):
+        raise AssertionError("the exchange graph walk started")
+
+    # Without the guard the walk would visit 742,900 hearts; fail fast instead.
+    monkeypatch.setattr(cli, "build_interval_eg", no_walk)
+    monkeypatch.setattr(cli, "build_folded_eg", no_walk)
+    spec = linear_a12_spec(tmp_path)
+    for argv in (("eg",), ("eg", "--fold"), ("classify",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "foldstab: error: A12 has 742900 hearts; the limit is E8's 25080\n"
+
+
+def test_braid_check_on_a12_spaces_letters(capsys, tmp_path) -> None:
+    code, out, err = run_cli(capsys, "braid", linear_a12_spec(tmp_path), "--check", "12 = 1 2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "ambient type: A12",
+        "check: 12 = 1 2",
+        "lhs normal form: 12",
+        "rhs normal form: 1 2",
+        "FAILED",
+    ]
 
 
 def test_out_writes_file(capsys, tmp_path) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from foldstab.quiver import (
     integer_kernel,
     positive_roots,
     valued_type_name,
+    weyl_degrees,
 )
 from foldstab.specfile import parse_quiver
 from oracles import frobenius_on_k
@@ -350,3 +352,27 @@ def test_integer_kernel_pins(q_a2, q_a3, q_d4) -> None:
         for j in range(4):
             unit = tuple(1 if t == j else 0 for t in range(4))
             assert form.evaluate(row, unit) == 0
+
+
+# (family, rank) -> (degrees, W-Catalan number): Humphreys, Reflection Groups
+# and Coxeter Groups, table 3.1, and the counts of Fomin-Reading.
+WEYL_DEGREES = {
+    ("A", 3): ((2, 3, 4), 14),
+    ("A", 10): ((2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 58786),
+    ("B", 3): ((2, 4, 6), 20),
+    ("C", 3): ((2, 4, 6), 20),
+    ("D", 4): ((2, 4, 4, 6), 50),
+    ("D", 9): ((2, 4, 6, 8, 9, 10, 12, 14, 16), 35750),
+    ("E", 6): ((2, 5, 6, 8, 9, 12), 833),
+    ("E", 7): ((2, 6, 8, 10, 12, 14, 18), 4160),
+    ("E", 8): ((2, 8, 12, 14, 18, 20, 24, 30), 25080),
+    ("F", 4): ((2, 6, 8, 12), 105),
+    ("G", 2): ((2, 6), 8),
+}
+
+
+@pytest.mark.parametrize("family, rank", sorted(WEYL_DEGREES))
+def test_weyl_degrees_from_root_heights(family, rank) -> None:
+    degrees, catalan = WEYL_DEGREES[family, rank]
+    assert weyl_degrees(positive_roots(cartan_for_type(family, rank))) == degrees
+    assert prod(degrees[-1] + d for d in degrees) // prod(degrees) == catalan

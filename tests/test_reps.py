@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from foldstab.errors import UnsupportedTypeError
+from foldstab.specfile import parse_quiver
 from foldstab.quiver import Automorphism, Quiver, cartan_matrix, euler_form_hereditary, positive_roots
 from foldstab.reps import (
     Catalog,
@@ -21,6 +22,7 @@ from foldstab.reps import (
 )
 
 from oracles import tits_positive_roots
+from properties import seeded_dynkin_spec
 
 
 def test_positive_roots_match_tits_form(q_a2, q_a3, q_a5, q_d4, q_d5) -> None:
@@ -47,6 +49,19 @@ def test_catalog_rejects_infinite_type() -> None:
     kronecker = Quiver.make([1, 2], [("a", 1, 2), ("b", 1, 2)])
     with pytest.raises(UnsupportedTypeError):
         Catalog(kronecker)
+
+
+@pytest.mark.parametrize("family, rank, hearts", [("A", 10, 58786), ("D", 9, 35750)])
+def test_catalog_refuses_more_hearts_than_e8(family, rank, hearts) -> None:
+    q, _ = parse_quiver(seeded_dynkin_spec(family, rank, 1))
+    with pytest.raises(UnsupportedTypeError, match=f"^{family}{rank} has {hearts} hearts"):
+        Catalog(q)
+
+
+def test_catalog_admits_up_to_e8() -> None:
+    for family, rank, roots in (("A", 9, 45), ("D", 8, 56), ("E", 8, 120)):
+        q, _ = parse_quiver(seeded_dynkin_spec(family, rank, 1))
+        assert len(Catalog(q)) == roots
 
 
 def test_catalog_labels_a3(cat_a3) -> None:

@@ -40,7 +40,6 @@ from .cells import (
 from .errors import InputError, InternalError, UnsupportedTypeError, quote
 from .hearts import (
     ExchangeGraph,
-    FoldedEG,
     build_folded_eg,
     build_interval_eg,
     heart_label,
@@ -109,7 +108,7 @@ class Analysis:
         return build_interval_eg(self.catalog)
 
     @cached_property
-    def folded_eg(self) -> FoldedEG:
+    def folded_eg(self) -> ExchangeGraph:
         return build_folded_eg(self.catalog, self.perm)
 
 
@@ -160,13 +159,7 @@ def _fold_dot(p: dict) -> str:
 
 def _eg_payload(a: Analysis, folded: bool, check: str | None) -> dict:
     catalog, perm = a.catalog, a.perm
-    if folded:
-        graph = a.folded_eg
-        edges = graph.edges
-    else:
-        # An interval edge tilts at one position, a folded edge at an orbit of them.
-        graph = a.interval_eg
-        edges = [(src, (p,), tgt) for src, p, tgt in graph.edges]
+    graph = a.folded_eg if folded else a.interval_eg
     return {
         "kind": "folded" if folded else "interval",
         "nodes": [
@@ -181,10 +174,10 @@ def _eg_payload(a: Analysis, folded: bool, check: str | None) -> dict:
         "edges": [
             {
                 "src": src,
-                "at": [simple_label(catalog, graph.hearts[src].simples[p]) for p in orbit],
+                "at": [simple_label(catalog, graph.hearts[src].simples[p]) for p in positions],
                 "tgt": tgt,
             }
-            for src, orbit, tgt in edges
+            for src, positions, tgt in graph.edges
         ],
     }
 

@@ -4,14 +4,18 @@ A heart is recorded by its simple objects: pairs (catalog index, shift)
 meaning the catalog module placed in homological degree -shift.  Tilting at
 a simple S moves S one step (up for forward, down for backward) and rewrites
 every other simple through extensions with S or Hom spaces to S, depending
-on the shift gap.  Each rewritten simple is indecomposable, so its class
-names it: [X] + ext*[S] for a universal extension, and +-(hom*[S] - [X]) for
-the kernel or cokernel of the map between X and S^hom.  A tilt is therefore
-class arithmetic plus one root lookup.
+on the shift gap.  Both directions are one body, `_tilt`, that reads the
+catalog's Euler table: Hom is its positive part and Ext^1 its negative part.
+Each rewritten simple is indecomposable, so its class names it: [X] +
+ext*[S] for a universal extension, and +-(hom*[S] - [X]) for the kernel or
+cokernel of the map between X and S^hom.  A tilt is therefore class
+arithmetic plus one root lookup.
 
-The interval exchange graph collects the hearts whose simples all sit at
-shifts 0 or 1; it is finite for Dynkin quivers and every edge is a forward
-tilt at a shift-0 simple.
+An `ExchangeGraph` edge names the positions it tilts in its source heart.
+The interval graph collects the hearts whose simples all sit at shifts 0 or
+1; it is finite for Dynkin quivers and every edge is a forward tilt at one
+shift-0 simple.  The folded graph collects the F-stable hearts, and every
+edge is an orbit tilt at a shift-0 transport orbit.
 """
 
 from __future__ import annotations
@@ -32,10 +36,6 @@ class Heart:
     def __post_init__(self):
         if tuple(sorted(self.simples)) != self.simples:
             raise InternalError("heart simples not in canonical order")
-
-    @property
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.simples)
 
     def position_of(self, simple: Simple) -> int:
         return self.simples.index(simple)
@@ -69,79 +69,57 @@ def heart_label(catalog: Catalog, heart: Heart) -> str:
     return "{" + ", ".join(simple_label(catalog, s) for s in heart.simples) + "}"
 
 
-def _root_index(catalog: Catalog, dims: tuple[int, ...], context: str) -> int:
-    idx = catalog.by_dims.get(dims)
-    if idx is None:
-        raise InternalError(f"{context} class {dims} is not a positive root")
-    return idx
+def _tilt(catalog: Catalog, heart: Heart, pos: int, step: int) -> Heart:
+    """Tilt at the simple S in position pos: forward (step 1) or backward (-1).
 
-
-def _plus(catalog: Catalog, x_idx: int, d: int, s_idx: int) -> int:
-    """The extension of X by S^d: class [X] + d[S]."""
-    if not d:
-        return x_idx
-    x, s = catalog.roots[x_idx], catalog.roots[s_idx]
-    return _root_index(catalog, tuple(a + d * b for a, b in zip(x, s)), "extension")
-
-
-def _minus(catalog: Catalog, x_idx: int, d: int, s_idx: int) -> tuple[int, bool]:
-    """The root of d[S] - [X] up to sign, and whether that class is positive.
-
-    A positive class is the cokernel of X -> S^d in a forward tilt and the
-    kernel of S^d -> X in a backward one; a negative class is the other side.
+    S moves by step.  Another simple X meets S at gap g = 1 + step *
+    (shift S - shift X) through chi = chi(X, S) forward and chi(S, X)
+    backward.  At g = 1 it becomes the universal extension [X] + ext[S],
+    ext = max(-chi, 0).  At g = 0 it becomes the cone of the map between X
+    and S^hom, hom = max(chi, 0), with class hom[S] - [X]: a positive class
+    moves by -step, a negative one is negated in place.  Any other X stays.
     """
-    if not d:
-        return x_idx, False
-    x, s = catalog.roots[x_idx], catalog.roots[s_idx]
-    v = tuple(d * b - a for a, b in zip(x, s))
-    if all(c >= 0 for c in v):
-        return _root_index(catalog, v, "tilt"), True
-    return _root_index(catalog, tuple(-c for c in v), "tilt"), False
+    s_idx, s_shift = heart.simples[pos]
+    s = catalog.roots[s_idx]
+    out: list[Simple] = [(s_idx, s_shift + step)]
+    for i, (x_idx, x_shift) in enumerate(heart.simples):
+        if i == pos:
+            continue
+        chi = catalog.euler[x_idx][s_idx] if step > 0 else catalog.euler[s_idx][x_idx]
+        gap = 1 + step * (s_shift - x_shift)
+        if gap == 1 and chi < 0:
+            v = tuple(a - chi * b for a, b in zip(catalog.roots[x_idx], s))
+        elif gap == 0 and chi > 0:
+            v = tuple(chi * b - a for a, b in zip(catalog.roots[x_idx], s))
+            if min(v) >= 0:
+                x_shift -= step
+            else:
+                v = tuple(-c for c in v)
+        else:
+            out.append((x_idx, x_shift))
+            continue
+        idx = catalog.by_dims.get(v)
+        if idx is None:
+            raise InternalError(f"tilt class {v} is not a positive root")
+        out.append((idx, x_shift))
+    return make_heart(out)
 
 
 def tilt_forward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
     """Forward tilt at the simple in position pos (it moves up one shift)."""
-    s_idx, s_shift = heart.simples[pos]
-    out: list[Simple] = [(s_idx, s_shift + 1)]
-    for i, (x_idx, x_shift) in enumerate(heart.simples):
-        if i == pos:
-            continue
-        gap = s_shift + 1 - x_shift
-        if gap == 1:
-            out.append((_plus(catalog, x_idx, catalog.ext_table[x_idx][s_idx], s_idx), x_shift))
-        elif gap == 0:
-            idx, coker = _minus(catalog, x_idx, catalog.hom_table[x_idx][s_idx], s_idx)
-            out.append((idx, s_shift if coker else x_shift))
-        else:
-            out.append((x_idx, x_shift))
-    return make_heart(out)
+    return _tilt(catalog, heart, pos, 1)
 
 
 def tilt_backward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
     """Backward tilt at the simple in position pos (it moves down one shift)."""
-    s_idx, s_shift = heart.simples[pos]
-    out: list[Simple] = [(s_idx, s_shift - 1)]
-    for i, (x_idx, x_shift) in enumerate(heart.simples):
-        if i == pos:
-            continue
-        gap = x_shift + 1 - s_shift
-        if gap == 1:
-            out.append((_plus(catalog, x_idx, catalog.ext_table[s_idx][x_idx], s_idx), x_shift))
-        elif gap == 0:
-            idx, ker = _minus(catalog, x_idx, catalog.hom_table[s_idx][x_idx], s_idx)
-            out.append((idx, x_shift + 1 if ker else x_shift))
-        else:
-            out.append((x_idx, x_shift))
-    return make_heart(out)
+    return _tilt(catalog, heart, pos, -1)
 
 
 @dataclass(frozen=True)
 class ExchangeGraph:
     hearts: tuple[Heart, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (source id, simple position, target id)
-
-    def heart_id(self, heart: Heart) -> int:
-        return self.hearts.index(heart)
+    # (source id, positions tilted in the source heart, target id)
+    edges: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
 def _walk(seed: Heart, moves) -> tuple[tuple[Heart, ...], tuple]:
@@ -168,7 +146,7 @@ def build_interval_eg(catalog: Catalog) -> ExchangeGraph:
     def moves(heart: Heart):
         for pos, (_, shift) in enumerate(heart.simples):
             if shift == 0:
-                yield pos, tilt_forward(catalog, heart, pos)
+                yield (pos,), tilt_forward(catalog, heart, pos)
 
     return ExchangeGraph(*_walk(seed_heart(catalog), moves))
 
@@ -193,8 +171,9 @@ def f_orbits_of_heart(perm: tuple[int, ...], heart: Heart) -> tuple[tuple[int, .
 def multi_tilt(catalog: Catalog, heart: Heart, positions: tuple[int, ...]) -> Heart:
     """Tilt forward at several simples at once.
 
-    Requires the selected simples to be pairwise non-interacting (Hom and Ext
-    vanish in both directions), which makes the individual tilts commute.
+    Requires the selected simples to be pairwise non-interacting (the Euler
+    pairing, hence Hom and Ext, vanishes in both directions), which makes the
+    individual tilts commute.
     """
     chosen = [heart.simples[p] for p in positions]
     if len(set(chosen)) != len(chosen):
@@ -203,7 +182,7 @@ def multi_tilt(catalog: Catalog, heart: Heart, positions: tuple[int, ...]) -> He
         for j, (yj, _) in enumerate(chosen):
             if i == j:
                 continue
-            if catalog.hom_table[xi][yj] or catalog.ext_table[xi][yj]:
+            if catalog.euler[xi][yj]:
                 raise InputError("selected simples interact; multi-tilt undefined")
     current = heart
     for simple in chosen:
@@ -222,14 +201,7 @@ def orbit_tilt(catalog: Catalog, perm: tuple[int, ...], heart: Heart, orbit: tup
     return new
 
 
-@dataclass(frozen=True)
-class FoldedEG:
-    hearts: tuple[Heart, ...]
-    # (source id, positions of the tilted orbit in the source heart, target id)
-    edges: tuple[tuple[int, tuple[int, ...], int], ...]
-
-
-def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> FoldedEG:
+def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> ExchangeGraph:
     """Exchange graph of stable hearts under orbit tilts at shift-0 orbits."""
     seed = seed_heart(catalog)
     if not is_f_stable(perm, seed):
@@ -240,5 +212,5 @@ def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> FoldedEG:
             if all(heart.simples[p][1] == 0 for p in orbit):
                 yield orbit, orbit_tilt(catalog, perm, heart, orbit)
 
-    return FoldedEG(*_walk(seed, moves))
+    return ExchangeGraph(*_walk(seed, moves))
 

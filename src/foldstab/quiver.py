@@ -7,12 +7,13 @@ arrow inside a vertex orbit) produces a valued quiver: orbit vertices and
 orbit arrows, each carrying its orbit size.  Orbit identifiers are the least
 member (numerically for vertices, lexicographically for arrow names).
 
-Euler forms live on the free abelian group over the vertices, in sorted
-vertex order: the hereditary form is delta_ij minus the arrow count i -> j,
-the CY3 form is its antisymmetrization, and the Cartan matrix its
-symmetrization.  `positive_roots` closes a finite-type Cartan matrix (of any
-crystallographic type) into its roots; catalog and Coxeter systems share it,
-and `weyl_degrees` reads the Weyl group's degrees off their heights.
+Euler forms are integer matrices on the free abelian group over the
+vertices, in sorted vertex order: the hereditary form is delta_ij minus the
+arrow count i -> j, the CY3 form is its antisymmetrization, and the Cartan
+matrix its symmetrization.  `positive_roots` closes a finite-type Cartan
+matrix (of any crystallographic type) into its roots; catalog and Coxeter
+systems share it, and `weyl_degrees` reads the Weyl group's degrees off
+their heights.
 `cartan_type` is the one classifier of a Cartan matrix, symmetric or not:
 `dynkin_type` names Q by `cartan_matrix(q)`, and `valued_type_name` names the
 fold by `folded_cartan`, its Cartan matrix in orbit coordinates and the only
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AdmissibilityError, InputError, UnsupportedTypeError, quote
-from .linalg import IntMatrix, IntVector, integer_left_kernel
+from .linalg import IntMatrix, IntVector
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,6 @@ class Quiver:
     def vertex_index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def arrow_count(self, tail: int, head: int) -> int:
-        return sum(1 for a in self.arrows if a.tail == tail and a.head == head)
-
 
 @dataclass(frozen=True)
 class Automorphism:
@@ -141,10 +139,6 @@ class Automorphism:
     @cached_property
     def arrow_orbits(self) -> tuple[tuple[str, ...], ...]:
         return cycles(tuple(a.name for a in self.quiver.arrows), self.arrow)
-
-    def is_admissible(self) -> bool:
-        orbit_of = {v: o for o in self.vertex_orbits for v in o}
-        return all(orbit_of[a.tail] is not orbit_of[a.head] for a in self.quiver.arrows)
 
 
 def cycles(items, step):
@@ -218,46 +212,24 @@ def fold(q: Quiver, s: Automorphism) -> ValuedQuiver:
     return ValuedQuiver(q, s, overts, tuple(oarrs))
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """Integer bilinear form on Z^basis; evaluate(x, y) = x^T M y."""
-
-    basis: tuple[int, ...]
-    matrix: IntMatrix
-
-    def evaluate(self, x, y) -> int:
-        return sum(
-            x[i] * self.matrix[i][j] * y[j]
-            for i in range(len(self.basis))
-            for j in range(len(self.basis))
-        )
-
-
-def euler_form_hereditary(q: Quiver) -> BilinearForm:
+def euler_form_hereditary(q: Quiver) -> IntMatrix:
     """chi(e_i, e_j) = delta_ij - #arrows(i -> j), on sorted vertices."""
     n = len(q.vertices)
-    counts = [[0] * n for _ in range(n)]
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for a in q.arrows:
-        counts[q.vertex_index[a.tail]][q.vertex_index[a.head]] += 1
-    m = tuple(
-        tuple((1 if i == j else 0) - counts[i][j] for j in range(n)) for i in range(n)
-    )
-    return BilinearForm(q.vertices, m)
+        m[q.vertex_index[a.tail]][q.vertex_index[a.head]] -= 1
+    return tuple(map(tuple, m))
 
 
-def euler_form_cy3(q: Quiver) -> BilinearForm:
+def euler_form_cy3(q: Quiver) -> IntMatrix:
     """Antisymmetrized Euler form, chi3 = chi - chi^T."""
-    h = euler_form_hereditary(q)
-    n = len(h.basis)
-    m = tuple(
-        tuple(h.matrix[i][j] - h.matrix[j][i] for j in range(n)) for i in range(n)
-    )
-    return BilinearForm(h.basis, m)
+    m = euler_form_hereditary(q)
+    return tuple(tuple(x - y for x, y in zip(row, col)) for row, col in zip(m, zip(*m)))
 
 
 def cartan_matrix(q: Quiver) -> IntMatrix:
     """Symmetric Cartan matrix chi + chi^T of the underlying graph, on sorted vertices."""
-    m = euler_form_hereditary(q).matrix
+    m = euler_form_hereditary(q)
     return tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(m, zip(*m)))
 
 
@@ -364,11 +336,6 @@ def weyl_degrees(roots: tuple[IntVector, ...]) -> tuple[int, ...]:
     """
     by_height = Counter(map(sum, roots))
     return tuple(sorted(h + 1 for h, k in by_height.items() for _ in range(k - by_height[h + 1])))
-
-
-def integer_kernel(form: BilinearForm) -> tuple[IntVector, ...]:
-    """Primitive basis of {x : x^T M = 0}, deterministic order and signs."""
-    return integer_left_kernel(form.matrix)
 
 
 def frobenius_order(s: Automorphism) -> int:

@@ -6,11 +6,12 @@ dimensions (Hom, Ext, kernels, cokernels) come from exact linear algebra.
 
 The catalog of a Dynkin quiver holds one indecomposable per positive root
 and works on the roots alone: the roots are `quiver.positive_roots` of the
-quiver's Cartan matrix, and the Hom and Ext tables come from the Euler
-form.  The matrix code stays as an independent oracle.  Each matrix brick is
-built with pseudo-random small integer entries and certified by an
-endomorphism check (End = k); a brick whose dimension vector is a root is the
-unique indecomposable in its class, so the certificate pins it exactly.
+quiver's Cartan matrix, and one integer table, the Euler form between them,
+gives every Hom and Ext^1 dimension.  The matrix code stays as an
+independent oracle.  Each matrix brick is built with pseudo-random small
+integer entries and certified by an endomorphism check (End = k); a brick
+whose dimension vector is a root is the unique indecomposable in its class,
+so the certificate pins it exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import prod
 from operator import mul
 
 from .errors import InternalError, UnsupportedTypeError
-from .linalg import Matrix, kernel_basis, mat_vec, rank, rref, solve
+from .linalg import Matrix, integer_left_kernel, kernel_basis, mat_vec, rank, rref, solve
 from .quiver import (
     Automorphism,
     Quiver,
@@ -31,7 +32,6 @@ from .quiver import (
     dynkin_type,
     euler_form_cy3,
     euler_form_hereditary,
-    integer_kernel,
     positive_roots,
     weyl_degrees,
 )
@@ -473,9 +473,9 @@ class Catalog:
     Entry i is the unique indecomposable with dimension vector roots[i].  The
     category is directed, so for distinct entries at most one of Hom and Ext^1
     is nonzero and hom - ext is the Euler pairing; for an entry with itself
-    the pairing is 1 = dim End.  hom_table and ext_table come from that
-    alone.  The matrix bricks in `reps` are built only when read, as an
-    independent oracle for the tables.
+    the pairing is 1 = dim End.  So `euler[i][j]` alone gives
+    Hom = max(chi, 0) and Ext^1 = max(-chi, 0).  The matrix bricks in `reps`
+    are built only when read, as an independent oracle for that table.
     """
 
     def __init__(self, q: Quiver):
@@ -510,9 +510,9 @@ class Catalog:
         return self.by_dims[dims]
 
     @cached_property
-    def _euler(self) -> tuple[tuple[int, ...], ...]:
-        """chi(roots[i], roots[j]) for every pair."""
-        m = euler_form_hereditary(self.quiver).matrix
+    def euler(self) -> tuple[tuple[int, ...], ...]:
+        """chi(roots[i], roots[j]) for every pair: Hom is max(chi, 0), Ext^1 max(-chi, 0)."""
+        m = euler_form_hereditary(self.quiver)
         cols = range(len(m))
         out = []
         for x in self.roots:
@@ -523,15 +523,7 @@ class Catalog:
     @cached_property
     def cy3_kernel(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer basis of the kernel of the antisymmetrized Euler form."""
-        return integer_kernel(euler_form_cy3(self.quiver))
-
-    @cached_property
-    def hom_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(max(c, 0) for c in row) for row in self._euler)
-
-    @cached_property
-    def ext_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(max(-c, 0) for c in row) for row in self._euler)
+        return integer_left_kernel(euler_form_cy3(self.quiver))
 
     @cached_property
     def hom_order(self) -> tuple[int, ...]:
@@ -542,11 +534,11 @@ class Catalog:
         alone would not work because maps run in both directions.
         """
         n = len(self.roots)
-        h = self.hom_table
+        h = self.euler
         indeg = [0] * n
         for i in range(n):
             for j in range(n):
-                if i != j and h[i][j]:
+                if i != j and h[i][j] > 0:
                     indeg[j] += 1
         order = []
         ready = sorted(i for i in range(n) if indeg[i] == 0)
@@ -554,7 +546,7 @@ class Catalog:
             i = ready.pop(0)
             order.append(i)
             for j in range(n):
-                if i != j and h[i][j]:
+                if i != j and h[i][j] > 0:
                     indeg[j] -= 1
                     if indeg[j] == 0 and j not in ready:
                         ready.append(j)
@@ -573,14 +565,14 @@ class Catalog:
             return ()
         n = len(self.reps)
         b = [hom_dim(self.reps[i], r) for i in range(n)]
-        h = self.hom_table
+        h = self.euler
         order = self.hom_order
         mult = [0] * n
         for pos in range(n - 1, -1, -1):
             i = order[pos]
             acc = b[i]
             for later in order[pos + 1 :]:
-                acc -= h[i][later] * mult[later]
+                acc -= max(h[i][later], 0) * mult[later]
             if acc < 0:
                 raise InternalError("summand multiplicity went negative")
             mult[i] = acc
@@ -619,12 +611,10 @@ def cy3_hom_dims(catalog: Catalog, x, y) -> dict[int, int]:
     for xi, xs in x:
         for yi, ys in y:
             offset = xs - ys
-            fwd = (catalog.hom_table[xi][yi], catalog.ext_table[xi][yi])
-            bwd = (catalog.hom_table[yi][xi], catalog.ext_table[yi][xi])
-            for j, d in enumerate(fwd):
-                if d:
-                    out[j + offset] = out.get(j + offset, 0) + d
-            for j, d in enumerate(bwd):
-                if d:
-                    out[3 - j + offset] = out.get(3 - j + offset, 0) + d
+            fwd, bwd = catalog.euler[xi][yi], catalog.euler[yi][xi]
+            # chi > 0 is a Hom in degree 0 and chi < 0 an Ext^1 in degree 1;
+            # the pair read backwards lands in the dual degrees 3 and 2.
+            for k, chi in ((offset + (fwd < 0), fwd), (offset + 3 - (bwd < 0), bwd)):
+                if chi:
+                    out[k] = out.get(k, 0) + abs(chi)
     return {k: v for k, v in sorted(out.items())}

@@ -16,8 +16,10 @@ inverse and determinant by Gauss-Jordan in Fractions instead of the
 fraction-free `linalg.echelon`, and integer kernels by a Smith normal form
 instead of the primitive echelon kernel of the transpose.  A cell's chain
 proof is expanded into one certificate per branch, each checkable on its
-own.  Hearts are validated by Hom/Ext vanishing and a Smith normal form,
-and the automorphism acts on K-classes as a permutation matrix.
+own.  Hearts are validated by Hom/Ext vanishing, read off the Euler
+table, and a Smith normal form, and the automorphism acts on K-classes as a
+permutation matrix.  `pairing` evaluates a form's integer matrix on two
+classes.
 """
 
 from __future__ import annotations
@@ -503,6 +505,11 @@ def pairwise_normal_form(system, word) -> GarsideNF:
     return GarsideNF(power, tuple(factors))
 
 
+def pairing(m: IntMatrix, x, y) -> int:
+    """The bilinear form with matrix m on two classes: x^T m y."""
+    return sum(a * c * b for a, row in zip(x, m) for c, b in zip(row, y))
+
+
 def twist_k_matrix(v: tuple[int, ...], form: tuple[tuple[int, ...], ...]) -> IntMatrix:
     """Matrix of the reflection-like twist x -> x + v (v^T E x) on classes."""
     n = len(v)
@@ -538,9 +545,9 @@ def validate_heart(catalog: Catalog, heart: Heart) -> None:
             if xi == yi:
                 continue
             gap = y_shift - x_shift
-            if gap >= 0 and catalog.hom_table[x_idx][y_idx] != 0:
+            if gap >= 0 and catalog.euler[x_idx][y_idx] > 0:
                 raise InputError("heart violates Hom vanishing")
-            if gap >= 1 and catalog.ext_table[x_idx][y_idx] != 0:
+            if gap >= 1 and catalog.euler[x_idx][y_idx] < 0:
                 raise InputError("heart violates Ext vanishing")
     _, d, _ = smith_normal_form(heart_k_matrix(catalog, heart))
     if any(d[i][i] != 1 for i in range(n)):

@@ -22,16 +22,10 @@ from foldstab.hearts import (
     tilt_forward,
     transport_heart,
 )
-from foldstab.linalg import int_identity
-from foldstab.quiver import (
-    Automorphism,
-    Quiver,
-    euler_form_cy3,
-    euler_form_hereditary,
-    integer_kernel,
-)
+from foldstab.linalg import int_identity, integer_left_kernel
+from foldstab.quiver import Automorphism, Quiver, euler_form_cy3, euler_form_hereditary
 from foldstab.reps import Catalog, cy3_hom_dims, direct_sum, ext1_dim, hom_dim, transport
-from oracles import frobenius_on_k, twist_k_matrix
+from oracles import frobenius_on_k, pairing, twist_k_matrix
 
 
 def seeded_dynkin_spec(family: str, n: int, seed: int) -> str:
@@ -114,7 +108,7 @@ def run_euler_identity(catalogs: list[Catalog]) -> int:
         chi = euler_form_hereditary(catalog.quiver)
         for x in catalog.reps:
             for y in catalog.reps:
-                assert hom_dim(x, y) - ext1_dim(x, y) == chi.evaluate(x.dims, y.dims)
+                assert hom_dim(x, y) - ext1_dim(x, y) == pairing(chi, x.dims, y.dims)
                 cases += 1
     return cases
 
@@ -192,8 +186,7 @@ def run_twist_relations(pairs: list[tuple[Catalog, Automorphism | None]]) -> int
     cases = 0
     for catalog, s in pairs:
         q = catalog.quiver
-        form = euler_form_cy3(q)
-        e3 = form.matrix
+        e3 = euler_form_cy3(q)
         n = len(q.vertices)
         ident = int_identity(n)
         twists = [twist_k_matrix(r.dims, e3) for r in catalog.reps]
@@ -201,15 +194,15 @@ def run_twist_relations(pairs: list[tuple[Catalog, Automorphism | None]]) -> int
             for j, v in enumerate(catalog.reps):
                 if i == j:
                     continue
-                pairing = form.evaluate(u.dims, v.dims)
+                chi3 = pairing(e3, u.dims, v.dims)
                 tu, tv = twists[i], twists[j]
-                if abs(pairing) == 1:
+                if abs(chi3) == 1:
                     assert _matmul(_matmul(tu, tv), tu) == _matmul(_matmul(tv, tu), tv)
                     cases += 1
-                elif pairing == 0:
+                elif chi3 == 0:
                     assert _matmul(tu, tv) == _matmul(tv, tu)
                     cases += 1
-        kernel = integer_kernel(form)
+        kernel = integer_left_kernel(e3)
         for t in twists:
             for k in kernel:
                 assert _col_action(t, k) == tuple(k)

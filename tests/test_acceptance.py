@@ -30,7 +30,8 @@ from foldstab.hearts import (
     heart_label,
     is_f_stable,
 )
-from foldstab.quiver import Automorphism, euler_form_cy3, fold, integer_kernel, valued_type_name
+from foldstab.linalg import integer_left_kernel
+from foldstab.quiver import Automorphism, euler_form_cy3, fold, valued_type_name
 
 from oracles import brute_force_folded_eg
 from properties import (
@@ -144,9 +145,9 @@ def test_c2_exchange_graph_atlas(cat_a3, flip_a3) -> None:
 
 def test_c3_numerical_kernel(q_a3, q_d4, rot_d4) -> None:
     start = time.perf_counter()
-    kernel_a3 = integer_kernel(euler_form_cy3(q_a3))
+    kernel_a3 = integer_left_kernel(euler_form_cy3(q_a3))
     assert kernel_a3 == ((1, 0, -1),)
-    kernel_d4 = integer_kernel(euler_form_cy3(q_d4))
+    kernel_d4 = integer_left_kernel(euler_form_cy3(q_d4))
     assert len(kernel_d4) == 2
     f_rows = f_constraint_rows(rot_d4)
     for k in kernel_d4:

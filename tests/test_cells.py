@@ -34,8 +34,8 @@ from foldstab.hearts import (
     make_heart,
     seed_heart,
 )
-from foldstab.linalg import int_identity, mat_mul
-from foldstab.quiver import Automorphism, euler_form_cy3, fold, integer_kernel
+from foldstab.linalg import int_identity, integer_left_kernel, mat_mul
+from foldstab.quiver import Automorphism, euler_form_cy3, fold
 from foldstab.ratlp import solve_strict_system, verify_infeasibility
 from foldstab.reps import Catalog
 from foldstab.specfile import parse_quiver
@@ -60,7 +60,7 @@ def test_f_constraint_rows(flip_a3, rot_d4) -> None:
 
 
 def test_d4_kernel_inside_f_span(q_d4, rot_d4, swap_d4) -> None:
-    kernel = integer_kernel(euler_form_cy3(q_d4))
+    kernel = integer_left_kernel(euler_form_cy3(q_d4))
     f_rows = f_constraint_rows(rot_d4)
     assert all(slices_equal(f_rows, f_rows + (k,)) for k in kernel)
     assert slices_equal(kernel, f_rows)

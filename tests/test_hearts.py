@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from foldstab import hearts
 from foldstab.errors import InputError, InternalError
 from foldstab.hearts import (
     Heart,
@@ -20,8 +23,9 @@ from foldstab.hearts import (
     transport_heart,
 )
 
-from foldstab.quiver import Quiver
+from foldstab.quiver import Automorphism, Quiver
 from foldstab.reps import Catalog
+from foldstab.specfile import parse_quiver
 
 from oracles import (
     brute_force_folded_eg,
@@ -31,6 +35,9 @@ from oracles import (
     smc_hearts,
     validate_heart,
 )
+from properties import seeded_dynkin_spec
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 EXPECTED_HEARTS = [
     {"T1", "T2", "X3^1"},
@@ -66,7 +73,7 @@ def _label_set(catalog, heart: Heart) -> frozenset[str]:
 def test_seed_heart(cat_a3) -> None:
     seed = seed_heart(cat_a3)
     assert heart_label(cat_a3, seed) == "{T1, T2, T3}"
-    assert seed.shifts == (0, 0, 0)
+    assert [shift for _, shift in seed.simples] == [0, 0, 0]
     assert heart_k_matrix(cat_a3, seed) == (
         (1, 0, 0),
         (0, 1, 0),
@@ -100,10 +107,10 @@ def test_interval_eg_a3_matches_atlas(cat_a3) -> None:
 def test_interval_eg_a3_seed_adjacency(cat_a3) -> None:
     eg = build_interval_eg(cat_a3)
     seed = seed_heart(cat_a3)
-    seed_id = eg.heart_id(seed)
+    seed_id = eg.hearts.index(seed)
     targets = {
         seed.simples[pos]: _label_set(cat_a3, eg.hearts[tgt])
-        for src, pos, tgt in eg.edges
+        for src, (pos,), tgt in eg.edges
         if src == seed_id
     }
     t1 = (cat_a3.simple_index(1), 0)
@@ -151,7 +158,12 @@ def test_interval_eg_a5_count(cat_a5) -> None:
 
 def test_euler_tables_match_module_tables(cat_a3, cat_d4, cat_a5, cat_d5) -> None:
     for catalog in (cat_a3, cat_d4, cat_a5, cat_d5):
-        assert (catalog.hom_table, catalog.ext_table) == module_tables(catalog)
+        hom, ext = module_tables(catalog)
+        n = len(catalog)
+        assert catalog.euler == tuple(tuple(hom[i][j] - ext[i][j] for j in range(n)) for i in range(n))
+        # The premise of reading Hom and Ext^1 off the sign of chi: between
+        # distinct indecomposables at most one of them is nonzero.
+        assert not any(hom[i][j] and ext[i][j] for i in range(n) for j in range(n) if i != j)
 
 
 def test_class_tilts_match_module_tilts(cat_a3, cat_d4, cat_a5, cat_d5) -> None:
@@ -301,3 +313,43 @@ def test_folded_hearts_cover_all_stable(cat_a3, flip_a3) -> None:
     eg = build_interval_eg(cat_a3)
     stable = {h.simples for h in eg.hearts if is_f_stable(perm, h)}
     assert {h.simples for h in feg.hearts} == stable
+
+
+def test_walks_call_the_public_tilts_once_per_edge(monkeypatch) -> None:
+    # perfbench/tracer.py counts tilts by wrapping these module-level names;
+    # a walk that went round them would read zero tilts.
+    q, s = parse_quiver((SPECS / "a3_flip.toml").read_text(encoding="utf-8"))
+    catalog = Catalog(q)
+    calls = {"tilt_forward": 0, "orbit_tilt": 0}
+
+    def counted(name):
+        fn = getattr(hearts, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hearts, name, counted(name))
+    interval = build_interval_eg(catalog)
+    assert calls == {"tilt_forward": len(interval.edges), "orbit_tilt": 0}
+    calls["tilt_forward"] = 0
+    folded = build_folded_eg(catalog, catalog.transport_index(s))
+    assert calls["orbit_tilt"] == len(folded.edges)
+
+
+# name -> (family, rank, orientation seed) of a quiver built here, not in specs/.
+SEEDED = {"A7": ("A", 7, 7), "D5": ("D", 5, 5), "E6": ("E", 6, 1)}
+
+
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.toml")) + sorted(SEEDED))
+def test_folded_eg_of_the_identity_is_the_interval_eg(spec) -> None:
+    if spec in SEEDED:
+        text = seeded_dynkin_spec(*SEEDED[spec])
+    else:
+        text = (SPECS / f"{spec}.toml").read_text(encoding="utf-8")
+    catalog = Catalog(parse_quiver(text)[0])
+    identity = catalog.transport_index(Automorphism.identity(catalog.quiver))
+    assert build_folded_eg(catalog, identity) == build_interval_eg(catalog)

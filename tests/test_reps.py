@@ -21,7 +21,7 @@ from foldstab.reps import (
     zero_rep,
 )
 
-from oracles import tits_positive_roots
+from oracles import pairing, tits_positive_roots
 from properties import seeded_dynkin_spec
 
 
@@ -156,7 +156,7 @@ def test_hom_order_is_topological(cat_a3) -> None:
     pos = {i: p for p, i in enumerate(order)}
     for i in range(6):
         for j in range(6):
-            if i != j and cat_a3.hom_table[i][j]:
+            if i != j and cat_a3.euler[i][j] > 0:
                 assert pos[i] < pos[j]
 
 
@@ -185,8 +185,8 @@ def test_euler_pairing_against_tables(cat_a3) -> None:
     n = len(cat_a3.reps)
     for i in range(n):
         for j in range(n):
-            expected = cat_a3.hom_table[i][j] - cat_a3.ext_table[i][j]
-            assert chi.evaluate(cat_a3.reps[i].dims, cat_a3.reps[j].dims) == expected
+            expected = cat_a3.euler[i][j]
+            assert pairing(chi, cat_a3.reps[i].dims, cat_a3.reps[j].dims) == expected
 
 
 def test_cy3_hom_dims_shapes(cat_a3) -> None:

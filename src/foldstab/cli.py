@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
@@ -425,15 +426,19 @@ def main(argv=None) -> int:
         internal = isinstance(exc, InternalError)
         print(f"foldstab: {'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
         return 4 if internal else 3 if isinstance(exc, UnsupportedTypeError) else 2
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"foldstab: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"foldstab: error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        if not args.out:
+            # The exit-time flush of stdout would fail again; point fd 1 at devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0
 
 

@@ -8,10 +8,12 @@ The catalog of a Dynkin quiver holds one indecomposable per positive root
 and works on the roots alone: the roots are `quiver.positive_roots` of the
 quiver's Cartan matrix, and one integer table, the Euler form between them,
 gives every Hom and Ext^1 dimension.  The matrix code stays as an
-independent oracle.  Each matrix brick is built with pseudo-random small
-integer entries and certified by an endomorphism check (End = k); a brick
-whose dimension vector is a root is the unique indecomposable in its class,
-so the certificate pins it exactly.
+independent oracle, with one path per construction: the universal
+(co)extensions are `extension_module` of stacked Ext^1 cocycles, and a
+cokernel reads its basis off the pivots of one rref.  Each matrix brick is
+built with pseudo-random small integer entries and certified by an
+endomorphism check (End = k); a brick whose dimension vector is a root is
+the unique indecomposable in its class, so the certificate pins it exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from math import prod
 from operator import mul
 
 from .errors import InternalError, UnsupportedTypeError
-from .linalg import Matrix, integer_left_kernel, kernel_basis, mat_vec, rank, rref, solve
+from .linalg import Matrix, integer_left_kernel, kernel_basis, mat_vec, rref, solve
 from .quiver import (
     Automorphism,
     Quiver,
@@ -72,14 +75,6 @@ class Representation:
 
 def zero_rep(q: Quiver) -> Representation:
     return Representation(q, (0,) * len(q.vertices), tuple(_zeros(0, 0) for _ in q.arrows))
-
-
-def simple_rep(q: Quiver, v: int) -> Representation:
-    dims = tuple(1 if u == v else 0 for u in q.vertices)
-    maps = []
-    for a in q.arrows:
-        maps.append(_zeros(dims[q.vertex_index[a.head]], dims[q.vertex_index[a.tail]]))
-    return Representation(q, dims, tuple(maps))
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
@@ -230,31 +225,23 @@ def extension_module(m: Representation, n: Representation, cocycle: Cocycle) -> 
     return Representation(q, dims, tuple(maps))
 
 
+def _stack(blocks: Sequence[Matrix]) -> Matrix:
+    """Matrices of one width, stacked row-wise."""
+    return tuple(row for b in blocks for row in b)
+
+
+def _side_by_side(blocks: Sequence[Matrix], rows: int) -> Matrix:
+    """Matrices of `rows` rows each, joined side by side."""
+    return tuple(tuple(x for b in blocks for x in b[i]) for i in range(rows))
+
+
 def universal_extension(m: Representation, s: Representation) -> Representation:
     """Middle term of 0 -> S^d -> U -> M -> 0 over a basis of Ext^1(M, S)."""
     classes = ext1_space(m, s)
     if not classes:
         return m
-    q = m.quiver
-    d = len(classes)
-    dims = tuple(d * sd + md for sd, md in zip(s.dims, m.dims))
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        hi = q.vertex_index[a.head]
-        ti = q.vertex_index[a.tail]
-        sa, ma = s.maps[ai], m.maps[ai]
-        block = [[_ZERO] * dims[ti] for _ in range(dims[hi])]
-        for c in range(d):
-            for i in range(s.dims[hi]):
-                for j in range(s.dims[ti]):
-                    block[c * s.dims[hi] + i][c * s.dims[ti] + j] = sa[i][j]
-                for j in range(m.dims[ti]):
-                    block[c * s.dims[hi] + i][d * s.dims[ti] + j] = classes[c][ai][i][j]
-        for i in range(m.dims[hi]):
-            for j in range(m.dims[ti]):
-                block[d * s.dims[hi] + i][d * s.dims[ti] + j] = ma[i][j]
-        maps.append(tuple(tuple(r) for r in block))
-    return Representation(q, dims, tuple(maps))
+    g = tuple(_stack([c[ai] for c in classes]) for ai in range(len(m.quiver.arrows)))
+    return extension_module(m, direct_sum([s] * len(classes)), g)
 
 
 def universal_coextension(m: Representation, s: Representation) -> Representation:
@@ -263,57 +250,27 @@ def universal_coextension(m: Representation, s: Representation) -> Representatio
     if not classes:
         return m
     q = m.quiver
-    d = len(classes)
-    dims = tuple(md + d * sd for sd, md in zip(s.dims, m.dims))
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        hi = q.vertex_index[a.head]
-        ti = q.vertex_index[a.tail]
-        sa, ma = s.maps[ai], m.maps[ai]
-        block = [[_ZERO] * dims[ti] for _ in range(dims[hi])]
-        for i in range(m.dims[hi]):
-            for j in range(m.dims[ti]):
-                block[i][j] = ma[i][j]
-            for c in range(d):
-                for j in range(s.dims[ti]):
-                    block[i][m.dims[ti] + c * s.dims[ti] + j] = classes[c][ai][i][j]
-        for c in range(d):
-            for i in range(s.dims[hi]):
-                for j in range(s.dims[ti]):
-                    block[m.dims[hi] + c * s.dims[hi] + i][m.dims[ti] + c * s.dims[ti] + j] = sa[i][j]
-        maps.append(tuple(tuple(r) for r in block))
-    return Representation(q, dims, tuple(maps))
+    g = tuple(
+        _side_by_side([c[ai] for c in classes], m.dims[q.vertex_index[a.head]])
+        for ai, a in enumerate(q.arrows)
+    )
+    return extension_module(direct_sum([s] * len(classes)), m, g)
 
 
 def stack_hom_vertical(m: Representation, s: Representation) -> tuple[Representation, ModuleMap]:
     """Evaluation M -> S^d over a basis f_1..f_d of Hom(M, S), stacked row-wise."""
     fs = hom_space(m, s)
-    d = len(fs)
-    target = direct_sum([s] * d) if d else zero_rep(m.quiver)
-    phi = []
-    for vi in range(len(m.quiver.vertices)):
-        rows = []
-        for f in fs:
-            rows.extend(f[vi])
-        phi.append(tuple(rows))
-    return target, tuple(phi)
+    target = direct_sum([s] * len(fs)) if fs else zero_rep(m.quiver)
+    phi = tuple(_stack([f[vi] for f in fs]) for vi in range(len(m.quiver.vertices)))
+    return target, phi
 
 
 def stack_hom_horizontal(s: Representation, m: Representation) -> tuple[Representation, ModuleMap]:
     """Evaluation S^d -> M over a basis f_1..f_d of Hom(S, M), side by side."""
     fs = hom_space(s, m)
-    d = len(fs)
-    source = direct_sum([s] * d) if d else zero_rep(m.quiver)
-    phi = []
-    for vi in range(len(m.quiver.vertices)):
-        rows = []
-        for i in range(m.dims[vi]):
-            row = []
-            for f in fs:
-                row.extend(f[vi][i])
-            rows.append(tuple(row))
-        phi.append(tuple(rows))
-    return source, tuple(phi)
+    source = direct_sum([s] * len(fs)) if fs else zero_rep(m.quiver)
+    phi = tuple(_side_by_side([f[vi] for f in fs], md) for vi, md in enumerate(m.dims))
+    return source, phi
 
 
 def kernel_module(phi: ModuleMap, m: Representation) -> Representation:
@@ -349,32 +306,22 @@ def kernel_module(phi: ModuleMap, m: Representation) -> Representation:
 
 
 def cokernel_module(phi: ModuleMap, m: Representation, n: Representation) -> Representation:
-    """Cokernel of a module map phi : M -> N in complement coordinates of N."""
+    """Cokernel of a module map phi : M -> N in complement coordinates of N.
+
+    At each vertex the pivot columns of one rref of [phi_v | I] are the
+    columns that greedy left-to-right independence would pick: those of
+    phi_v are a basis of the image, and the unit columns after them complete
+    it to a basis of N_v and index the cokernel coordinates.
+    """
     q = n.quiver
     comps: list[list[int]] = []
-    projs: list = []
+    bases: list[Matrix] = []
     for vi in range(len(q.vertices)):
-        nd = n.dims[vi]
-        img_cols: list[tuple] = []
-        if nd and m.dims[vi]:
-            for j in range(m.dims[vi]):
-                col = tuple(phi[vi][i][j] for i in range(nd))
-                trial = img_cols + [col]
-                if rank(tuple(zip(*trial))) == len(trial):
-                    img_cols.append(col)
-        comp: list[int] = []
-        for j in range(nd):
-            e = tuple(_ONE if i == j else _ZERO for i in range(nd))
-            trial = img_cols + [e]
-            if rank(tuple(zip(*trial))) == len(trial):
-                img_cols.append(e)
-                comp.append(j)
-        comps.append(comp)
-        if nd:
-            b = tuple(tuple(img_cols[c][r] for c in range(nd)) for r in range(nd))
-            projs.append((b, len(comp)))
-        else:
-            projs.append((None, 0))
+        nd, md = n.dims[vi], m.dims[vi]
+        aug = tuple((*phi[vi][i], *(_ONE if i == j else _ZERO for j in range(nd))) for i in range(nd))
+        _, pivots = rref(aug)
+        comps.append([p - md for p in pivots if p >= md])
+        bases.append(tuple(tuple(row[p] for p in pivots) for row in aug))
     dims = tuple(len(c) for c in comps)
     maps = []
     for ai, a in enumerate(q.arrows):
@@ -382,14 +329,13 @@ def cokernel_module(phi: ModuleMap, m: Representation, n: Representation) -> Rep
         ti = q.vertex_index[a.tail]
         block = [[_ZERO] * dims[ti] for _ in range(dims[hi])]
         if dims[ti] and dims[hi]:
-            bh, k = projs[hi]
             for cj, j in enumerate(comps[ti]):
                 y = tuple(n.maps[ai][i][j] for i in range(n.dims[hi]))
-                coeff = solve(bh, y)
+                coeff = solve(bases[hi], y)
                 if coeff is None:
                     raise InternalError("cokernel projection failed")
                 for ci in range(dims[hi]):
-                    block[ci][cj] = coeff[n.dims[hi] - k + ci]
+                    block[ci][cj] = coeff[n.dims[hi] - dims[hi] + ci]
         maps.append(tuple(tuple(r) for r in block))
     return Representation(q, dims, tuple(maps))
 
@@ -407,7 +353,7 @@ def transport(r: Representation, s: Automorphism) -> Representation:
     return Representation(q, tuple(dims), tuple(maps))
 
 
-def _catalog_sort_key(q: Quiver, d: tuple[int, ...]):
+def _catalog_sort_key(d: tuple[int, ...]):
     support = min(i for i, c in enumerate(d) if c)
     return (support, sum(d), d)
 
@@ -487,7 +433,7 @@ class Catalog:
         if hearts > MAX_HEARTS:
             raise UnsupportedTypeError(f"{family}{n} has {hearts} hearts; the limit is E8's {MAX_HEARTS}")
         self.roots: tuple[tuple[int, ...], ...] = tuple(
-            sorted(roots, key=lambda d: _catalog_sort_key(q, d))
+            sorted(roots, key=_catalog_sort_key)
         )
         self.reps: Sequence[Representation] = _Bricks(q, self.roots)
         self.by_dims = {d: i for i, d in enumerate(self.roots)}
@@ -533,27 +479,12 @@ class Catalog:
         non-isomorphisms, so this order exists; sorting by total dimension
         alone would not work because maps run in both directions.
         """
-        n = len(self.roots)
         h = self.euler
-        indeg = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i != j and h[i][j] > 0:
-                    indeg[j] += 1
-        order = []
-        ready = sorted(i for i in range(n) if indeg[i] == 0)
-        while ready:
-            i = ready.pop(0)
-            order.append(i)
-            for j in range(n):
-                if i != j and h[i][j] > 0:
-                    indeg[j] -= 1
-                    if indeg[j] == 0 and j not in ready:
-                        ready.append(j)
-            ready.sort()
-        if len(order) != n:
-            raise InternalError("Hom-nonvanishing graph has a cycle")
-        return tuple(order)
+        preds = {j: [i for i, row in enumerate(h) if i != j and row[j] > 0] for j in range(len(h))}
+        try:
+            return tuple(TopologicalSorter(preds).static_order())
+        except CycleError:
+            raise InternalError("Hom-nonvanishing graph has a cycle") from None
 
     def identify(self, r: Representation) -> tuple[int, ...]:
         """Catalog indices of the indecomposable summands, with multiplicity.

@@ -550,6 +550,24 @@ def test_out_to_missing_directory(capsys, tmp_path) -> None:
     assert not target.parent.exists()
 
 
+def test_full_stdout_exits_2_without_traceback(child_env) -> None:
+    if not os.path.exists("/dev/full"):
+        pytest.skip("/dev/full is not available")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foldstab", "fold", A3],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(os.environ),
+        )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("foldstab: error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_e6_exchange_graphs_count_w_catalan(capsys) -> None:
     code, out, _ = run_cli(capsys, "eg", E6, "--format", "table")
     assert code == 0

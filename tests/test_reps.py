@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from foldstab.errors import UnsupportedTypeError
+from foldstab.errors import InternalError, UnsupportedTypeError
 from foldstab.specfile import parse_quiver
 from foldstab.quiver import Automorphism, Quiver, cartan_matrix, euler_form_hereditary, positive_roots
 from foldstab.reps import (
@@ -14,7 +14,10 @@ from foldstab.reps import (
     extension_module,
     hom_dim,
     hom_space,
-    simple_rep,
+    cokernel_module,
+    kernel_module,
+    stack_hom_horizontal,
+    stack_hom_vertical,
     transport,
     universal_coextension,
     universal_extension,
@@ -150,14 +153,44 @@ def test_identify_direct_sums(cat_a3) -> None:
     assert cat_a3.identify(zero_rep(cat_a3.quiver)) == ()
 
 
-def test_hom_order_is_topological(cat_a3) -> None:
-    order = cat_a3.hom_order
-    assert sorted(order) == list(range(6))
+@pytest.mark.parametrize("name", ["cat_a3", "cat_d4", "cat_a5", "cat_d5"])
+def test_hom_order_is_topological(name, request) -> None:
+    cat = request.getfixturevalue(name)
+    order = cat.hom_order
+    assert sorted(order) == list(range(len(cat)))
     pos = {i: p for p, i in enumerate(order)}
-    for i in range(6):
-        for j in range(6):
-            if i != j and cat_a3.euler[i][j] > 0:
+    for i in range(len(cat)):
+        for j in range(len(cat)):
+            if i != j and cat.euler[i][j] > 0:
                 assert pos[i] < pos[j]
+
+
+def test_hom_order_rejects_a_cycle(q_a2) -> None:
+    cat = Catalog(q_a2)
+    cat.euler = ((1, 1, 0), (1, 1, 0), (0, 0, 1))
+    with pytest.raises(InternalError, match="cycle"):
+        cat.hom_order
+
+
+def test_module_builders_on_every_brick_pair(cat_a3, cat_d4) -> None:
+    for cat in (cat_a3, cat_d4):
+        for x in cat.reps:
+            for s in cat.reps:
+                u = universal_extension(x, s)
+                d = ext1_dim(x, s)
+                assert u.dims == tuple(xd + d * sd for xd, sd in zip(x.dims, s.dims))
+                assert ext1_dim(u, s) == 0
+                c = universal_coextension(x, s)
+                d = ext1_dim(s, x)
+                assert c.dims == tuple(xd + d * sd for xd, sd in zip(x.dims, s.dims))
+                assert ext1_dim(s, c) == 0
+                target, phi = stack_hom_vertical(x, s)
+                source, psi = stack_hom_horizontal(s, x)
+                for src, tgt, f in ((x, target, phi), (source, x, psi)):
+                    ker = kernel_module(f, src)
+                    cok = cokernel_module(f, src, tgt)
+                    for v in range(len(x.dims)):
+                        assert ker.dims[v] - cok.dims[v] == src.dims[v] - tgt.dims[v]
 
 
 def test_transport_permutes_catalog(cat_a3, flip_a3) -> None:
@@ -171,13 +204,6 @@ def test_transport_permutes_catalog(cat_a3, flip_a3) -> None:
 def test_transport_identity(cat_d4, q_d4) -> None:
     ident = Automorphism.identity(q_d4)
     assert cat_d4.transport_index(ident) == tuple(range(12))
-
-
-def test_simple_rep_shape(q_a3) -> None:
-    s = simple_rep(q_a3, 2)
-    assert s.dims == (0, 1, 0)
-    assert s.total == 1
-    assert not s.is_zero()
 
 
 def test_euler_pairing_against_tables(cat_a3) -> None:

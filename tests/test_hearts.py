@@ -214,6 +214,13 @@ def test_validate_rejects_bad_hearts(cat_a3) -> None:
         validate_heart(cat_a3, make_heart([(0, 0), (0, 0), (5, 0)]))
 
 
+def test_heart_checks_order_and_hashes_as_its_simples() -> None:
+    with pytest.raises(InternalError, match="^heart simples not in canonical order$"):
+        Heart(((1, 0), (0, 0)))
+    simples = [(2, 1), (0, 0), (1, 0)]
+    assert hash(make_heart(simples)) == hash((tuple(sorted(simples)),))
+
+
 def test_tilt_forward_changes_one_shift(cat_a3) -> None:
     seed = seed_heart(cat_a3)
     up = tilt_forward(cat_a3, seed, 1)

@@ -11,6 +11,7 @@ import pytest
 from foldstab.errors import InputError, UnsupportedTypeError
 from foldstab.linalg import integer_left_kernel
 from foldstab.quiver import (
+    Arrow,
     Automorphism,
     Quiver,
     cartan_for_type,
@@ -32,14 +33,20 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_quiver_validation() -> None:
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^quiver needs at least one vertex$"):
         Quiver.make([], [])
-    with pytest.raises(InputError):
+    for vertices in ((2, 1), (1, 1)):
+        with pytest.raises(InputError, match="^vertex ids must be unique and sorted$"):
+            Quiver(vertices, ())
+    a, b = Arrow("a", 1, 2), Arrow("b", 2, 1)
+    with pytest.raises(InputError, match="^arrow names must be unique and sorted$"):
         Quiver.make([1, 2], [("a", 1, 2), ("a", 2, 1)])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^arrow names must be unique and sorted$"):
+        Quiver((1, 2), (b, a))
+    with pytest.raises(InputError, match="^arrow 'a' uses an undeclared vertex$"):
         Quiver.make([1], [("a", 1, 2)])
-    with pytest.raises(InputError):
-        Quiver.make([1, 2], [("a", 1, 2), ("b", 2, 1)])
+    with pytest.raises(InputError, match="^quiver must be acyclic$"):
+        Quiver((1, 2), (a, b))
 
 
 def test_quiver_helpers(q_a3: Quiver) -> None:
@@ -47,17 +54,26 @@ def test_quiver_helpers(q_a3: Quiver) -> None:
     chi = euler_form_hereditary(q_a3)
     assert chi[q_a3.vertex_index[2]][q_a3.vertex_index[1]] == -1
     assert chi[q_a3.vertex_index[1]][q_a3.vertex_index[2]] == 0
+    # The indexes are computed once per quiver.
+    assert q_a3.vertex_index is q_a3.vertex_index
+    assert q_a3.arrow_by_name is q_a3.arrow_by_name
 
 
 def test_automorphism_validation(q_a3: Quiver, flip_a3: Automorphism) -> None:
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^vertex permutation is not a bijection on the vertices$"):
         Automorphism(q_a3, (1, 1, 2), ("a", "b"))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^arrow permutation is not a bijection on the arrows$"):
+        Automorphism(q_a3, (3, 2, 1), ("a", "a"))
+    with pytest.raises(
+        InputError,
+        match="^arrow permutation is incompatible: 'a' -> 'a' does not match the vertex permutation$",
+    ):
         Automorphism(q_a3, (3, 2, 1), ("a", "b"))
     ident = Automorphism.identity(q_a3)
     assert ident.is_identity()
     assert not flip_a3.is_identity()
     assert ident.vertex_orbits == ((1,), (2,), (3,))
+    assert flip_a3.vertex_orbits is flip_a3.vertex_orbits
 
 
 def test_fold_a3_flip_is_b2(q_a3: Quiver, flip_a3: Automorphism) -> None:

@@ -7,6 +7,7 @@ from foldstab.specfile import parse_quiver
 from foldstab.quiver import Automorphism, Quiver, cartan_matrix, euler_form_hereditary, positive_roots
 from foldstab.reps import (
     Catalog,
+    Representation,
     cy3_hom_dims,
     direct_sum,
     ext1_dim,
@@ -38,6 +39,18 @@ def test_positive_roots_match_tits_form(q_a2, q_a3, q_a5, q_d4, q_d5) -> None:
         roots = positive_roots(cartan_matrix(q))
         assert len(roots) == count
         assert set(roots) == tits_positive_roots(q, bound)
+
+
+def test_representation_checks_its_shape(q_a2) -> None:
+    with pytest.raises(InternalError, match="^representation shape mismatch$"):
+        Representation(q_a2, (0,), ((),))
+    with pytest.raises(InternalError, match="^representation shape mismatch$"):
+        Representation(q_a2, (0, 0), ())
+    # Arrow a: 1 -> 2 needs a dims[2] x dims[1] matrix.
+    with pytest.raises(InternalError, match="^matrix shape mismatch on arrow 'a'$"):
+        Representation(q_a2, (0, 1), ((),))
+    with pytest.raises(InternalError, match="^matrix shape mismatch on arrow 'a'$"):
+        Representation(q_a2, (1, 1), (((),),))
 
 
 def test_catalog_sizes(cat_a2, cat_a3, cat_a5, cat_d4, cat_d5) -> None:

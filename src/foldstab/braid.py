@@ -15,9 +15,9 @@ equal in the braid group exactly when their normal forms coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, UnsupportedTypeError, quote
 from .linalg import IntMatrix, int_identity
@@ -133,8 +133,7 @@ class CoxeterSystem:
         return tuple(letters)
 
 
-@dataclass(frozen=True)
-class GarsideNF:
+class GarsideNF(NamedTuple):
     """Left-greedy form Delta^power x_1 ... x_r with nontrivial simples x_i."""
 
     power: int
@@ -257,8 +256,7 @@ def render_nf(system: CoxeterSystem, nf: GarsideNF) -> str:
     return " . ".join(parts) if parts else "e"
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     source: str  # orbit names
     target: str
     exponent: int

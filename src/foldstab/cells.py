@@ -23,8 +23,8 @@ most n + 1 in all, rule out every one of the 2^n branches together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
@@ -83,15 +83,13 @@ def f_constraints(catalog: Catalog, s: Automorphism, heart: Heart) -> tuple[Row,
     return vertex_functionals_to_heart(catalog, heart, f_constraint_rows(s))
 
 
-@dataclass(frozen=True)
-class BranchCertificate:
+class BranchCertificate(NamedTuple):
     real_axis: tuple[int, ...]  # coordinates pinned to the real axis
     axis: str  # "im" or "re": which half of the branch is infeasible
     certificate: Infeasibility
 
 
-@dataclass(frozen=True)
-class CellClassification:
+class CellClassification(NamedTuple):
     feasible: bool
     witness: tuple[Complex, ...] | None
     certificates: tuple[BranchCertificate, ...] | None

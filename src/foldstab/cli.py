@@ -26,7 +26,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
 from functools import cached_property
 from typing import NamedTuple
 
@@ -303,7 +302,7 @@ def _braid_payload(a: Analysis, folded: bool, check: str | None) -> dict:
             "verified": nf_l == nf_r,
         }
     checks = verify_folded_relations(a.folded, system, slot_of)
-    relations = [asdict(c) for c in checks]
+    relations = [c._asdict() for c in checks]
     return {
         "ambient_type": ambient,
         "folded_type": a.folded_type,

@@ -20,7 +20,7 @@ edge is an orbit tilt at a shift-0 transport orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .quiver import Automorphism, cycles
@@ -29,13 +29,17 @@ from .reps import Catalog
 Simple = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Heart:
+class _HeartFields(NamedTuple):
     simples: tuple[Simple, ...]
 
-    def __post_init__(self):
-        if tuple(sorted(self.simples)) != self.simples:
+
+class Heart(_HeartFields):
+    __slots__ = ()
+
+    def __new__(cls, simples: tuple[Simple, ...]):
+        if tuple(sorted(simples)) != simples:
             raise InternalError("heart simples not in canonical order")
+        return super().__new__(cls, simples)
 
     def position_of(self, simple: Simple) -> int:
         return self.simples.index(simple)
@@ -115,8 +119,7 @@ def tilt_backward(catalog: Catalog, heart: Heart, pos: int) -> Heart:
     return _tilt(catalog, heart, pos, -1)
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
+class ExchangeGraph(NamedTuple):
     hearts: tuple[Heart, ...]
     # (source id, positions tilted in the source heart, target id)
     edges: tuple[tuple[int, tuple[int, ...], int], ...]

@@ -13,7 +13,8 @@ arrow count i -> j, the CY3 form is its antisymmetrization, and the Cartan
 matrix its symmetrization.  `positive_roots` closes a finite-type Cartan
 matrix (of any crystallographic type) into its roots; catalog and Coxeter
 systems share it, and `weyl_degrees` reads the Weyl group's degrees off
-their heights.
+their heights; `simply_laced_degrees` gives those of A, D and E from the
+type alone.
 `cartan_type` is the one classifier of a Cartan matrix, symmetric or not:
 `dynkin_type` names Q by `cartan_matrix(q)`, and `valued_type_name` names the
 fold by `folded_cartan`, its Cartan matrix in orbit coordinates and the only
@@ -24,41 +25,48 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .errors import AdmissibilityError, InputError, UnsupportedTypeError, quote
 from .linalg import IntMatrix, IntVector
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     tail: int
     head: int
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Finite acyclic quiver; vertices sorted, arrows sorted by name."""
-
+class _QuiverFields(NamedTuple):
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
 
-    def __post_init__(self):
-        if not self.vertices:
+
+class Quiver(_QuiverFields):
+    """Finite acyclic quiver; vertices sorted, arrows sorted by name."""
+
+    def __new__(cls, vertices: tuple[int, ...], arrows: tuple[Arrow, ...]):
+        if not vertices:
             raise InputError("quiver needs at least one vertex")
-        if tuple(sorted(set(self.vertices))) != self.vertices:
+        if tuple(sorted(set(vertices))) != vertices:
             raise InputError("vertex ids must be unique and sorted")
-        names = [a.name for a in self.arrows]
+        names = [a.name for a in arrows]
         if sorted(set(names)) != list(names):
             raise InputError("arrow names must be unique and sorted")
-        vs = set(self.vertices)
-        for a in self.arrows:
+        vs = set(vertices)
+        for a in arrows:
             if a.tail not in vs or a.head not in vs:
                 raise InputError(f"arrow {quote(a.name)} uses an undeclared vertex")
-        if self._has_cycle():
-            raise InputError("quiver must be acyclic")
+        preds: dict[int, list[int]] = {v: [] for v in vertices}
+        for a in arrows:
+            preds[a.head].append(a.tail)
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError:
+            raise InputError("quiver must be acyclic") from None
+        return super().__new__(cls, vertices, arrows)
 
     @staticmethod
     def make(vertices, arrows) -> "Quiver":
@@ -67,23 +75,6 @@ class Quiver:
             sorted((Arrow(str(n), int(t), int(h)) for n, t, h in arrows), key=lambda a: a.name)
         )
         return Quiver(tuple(sorted(set(int(v) for v in vertices))), arrs)
-
-    def _has_cycle(self) -> bool:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        indeg = {v: 0 for v in self.vertices}
-        for a in self.arrows:
-            out[a.tail].append(a.head)
-            indeg[a.head] += 1
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen != len(self.vertices)
 
     @cached_property
     def arrow_by_name(self) -> dict[str, Arrow]:
@@ -94,16 +85,18 @@ class Quiver:
         return {v: i for i, v in enumerate(self.vertices)}
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """Quiver automorphism: vertex images aligned with quiver.vertices,
-    arrow images aligned with quiver.arrows."""
-
+class _AutomorphismFields(NamedTuple):
     quiver: Quiver
     vertex_images: tuple[int, ...]
     arrow_images: tuple[str, ...]
 
-    def __post_init__(self):
+
+class Automorphism(_AutomorphismFields):
+    """Quiver automorphism: vertex images aligned with quiver.vertices,
+    arrow images aligned with quiver.arrows."""
+
+    def __new__(cls, quiver: Quiver, vertex_images: tuple[int, ...], arrow_images: tuple[str, ...]):
+        self = super().__new__(cls, quiver, vertex_images, arrow_images)
         q = self.quiver
         if sorted(self.vertex_images) != list(q.vertices):
             raise InputError("vertex permutation is not a bijection on the vertices")
@@ -116,6 +109,7 @@ class Automorphism:
                     f"arrow permutation is incompatible: {quote(a.name)} -> {quote(img_name)} "
                     "does not match the vertex permutation"
                 )
+        return self
 
     @staticmethod
     def identity(q: Quiver) -> "Automorphism":
@@ -159,8 +153,7 @@ def cycles(items, step):
     return tuple(sorted(orbits))
 
 
-@dataclass(frozen=True)
-class OrbitVertex:
+class OrbitVertex(NamedTuple):
     name: int
     members: tuple[int, ...]
 
@@ -169,8 +162,7 @@ class OrbitVertex:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class OrbitArrow:
+class OrbitArrow(NamedTuple):
     name: str
     members: tuple[str, ...]
     tail: int  # orbit vertex name
@@ -181,8 +173,7 @@ class OrbitArrow:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ValuedQuiver:
+class ValuedQuiver(NamedTuple):
     """Fold of a quiver: orbit vertices/arrows with their orbit sizes."""
 
     source: Quiver
@@ -336,6 +327,17 @@ def weyl_degrees(roots: tuple[IntVector, ...]) -> tuple[int, ...]:
     """
     by_height = Counter(map(sum, roots))
     return tuple(sorted(h + 1 for h, k in by_height.items() for _ in range(k - by_height[h + 1])))
+
+
+def simply_laced_degrees(family: str, rank: int) -> tuple[int, ...]:
+    """Degrees of the Weyl group of type A_n, D_n or E6-E8, ascending, read off
+    the type (Humphreys, Reflection Groups and Coxeter Groups, table 3.1), so
+    they cost no root closure."""
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family == "D":
+        return tuple(sorted([*range(2, 2 * rank - 1, 2), rank]))
+    return {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18), 8: (2, 8, 12, 14, 18, 20, 24, 30)}[rank]
 
 
 def frobenius_order(s: Automorphism) -> int:

@@ -16,8 +16,8 @@ a primitive integer vector: the witness t, and the certificate (lambda, mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InternalError
 from .linalg import bareiss_update, echelon, int_identity, kernel_basis
@@ -25,13 +25,11 @@ from .linalg import bareiss_update, echelon, int_identity, kernel_basis
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     point: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Infeasibility:
+class Infeasibility(NamedTuple):
     positive_multipliers: tuple[int, ...]
     equality_multipliers: tuple[int, ...]
 

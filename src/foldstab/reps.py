@@ -19,12 +19,12 @@ the unique indecomposable in its class, so the certificate pins it exactly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalError, UnsupportedTypeError
 from .linalg import Matrix, integer_left_kernel, kernel_basis, mat_vec, rref, solve
@@ -36,7 +36,7 @@ from .quiver import (
     euler_form_cy3,
     euler_form_hereditary,
     positive_roots,
-    weyl_degrees,
+    simply_laced_degrees,
 )
 
 _ZERO = Fraction(0)
@@ -47,23 +47,26 @@ def _zeros(rows: int, cols: int) -> Matrix:
     return tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows))
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Matrices indexed like the quiver's arrow list; dims like its vertices."""
-
+class _RepresentationFields(NamedTuple):
     quiver: Quiver
     dims: tuple[int, ...]
     maps: tuple[Matrix, ...]
 
-    def __post_init__(self):
-        q = self.quiver
-        if len(self.dims) != len(q.vertices) or len(self.maps) != len(q.arrows):
+
+class Representation(_RepresentationFields):
+    """Matrices indexed like the quiver's arrow list; dims like its vertices."""
+
+    __slots__ = ()
+
+    def __new__(cls, quiver: Quiver, dims: tuple[int, ...], maps: tuple[Matrix, ...]):
+        if len(dims) != len(quiver.vertices) or len(maps) != len(quiver.arrows):
             raise InternalError("representation shape mismatch")
-        for a, m in zip(q.arrows, self.maps):
-            rows = self.dims[q.vertex_index[a.head]]
-            cols = self.dims[q.vertex_index[a.tail]]
+        for a, m in zip(quiver.arrows, maps):
+            rows = dims[quiver.vertex_index[a.head]]
+            cols = dims[quiver.vertex_index[a.tail]]
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise InternalError(f"matrix shape mismatch on arrow {a.name!r}")
+        return super().__new__(cls, quiver, dims, maps)
 
     @property
     def total(self) -> int:
@@ -427,13 +430,12 @@ class Catalog:
     def __init__(self, q: Quiver):
         self.quiver = q
         family, n, _ = dynkin_type(q)
-        roots = positive_roots(cartan_matrix(q))
-        degrees = weyl_degrees(roots)
+        degrees = simply_laced_degrees(family, n)
         hearts = prod(degrees[-1] + d for d in degrees) // prod(degrees)
         if hearts > MAX_HEARTS:
             raise UnsupportedTypeError(f"{family}{n} has {hearts} hearts; the limit is E8's {MAX_HEARTS}")
         self.roots: tuple[tuple[int, ...], ...] = tuple(
-            sorted(roots, key=_catalog_sort_key)
+            sorted(positive_roots(cartan_matrix(q)), key=_catalog_sort_key)
         )
         self.reps: Sequence[Representation] = _Bricks(q, self.roots)
         self.by_dims = {d: i for i, d in enumerate(self.roots)}

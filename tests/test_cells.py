@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -291,8 +290,8 @@ def _chain_mutants(chain: tuple, k: int):
     lam = list(chain[i].certificate.positive_multipliers)
     j = max(range(len(lam)), key=lam.__getitem__)
     lam[j] = -lam[j]
-    negated = replace(
-        chain[i], certificate=replace(chain[i].certificate, positive_multipliers=tuple(lam))
+    negated = chain[i]._replace(
+        certificate=chain[i].certificate._replace(positive_multipliers=tuple(lam))
     )
     last = chain[-1]
     yield "drop first", chain[1:]
@@ -300,8 +299,8 @@ def _chain_mutants(chain: tuple, k: int):
         yield "drop middle", chain[:1] + chain[2:]
     yield "drop last", chain[:-1]
     yield "negate a multiplier", chain[:i] + (negated,) + chain[i + 1 :]
-    yield "shrink the real set", chain[:-1] + (replace(last, real_axis=last.real_axis[1:]),)
-    yield "relabel im as re", (replace(chain[0], axis="re"),) + chain[1:]
+    yield "shrink the real set", chain[:-1] + (last._replace(real_axis=last.real_axis[1:]),)
+    yield "relabel im as re", (chain[0]._replace(axis="re"),) + chain[1:]
     yield "swap two steps", (chain[1], chain[0]) + chain[2:]
 
 
@@ -313,7 +312,7 @@ def test_verify_rejects_tampered_branch_certificates(name, family) -> None:
     for k, (rows, n, cls) in enumerate(empty):
         assert verify_classification(rows, cls, n)
         for mutant, tampered in _chain_mutants(cls.certificates, k):
-            assert not verify_classification(rows, replace(cls, certificates=tampered), n), mutant
+            assert not verify_classification(rows, cls._replace(certificates=tampered), n), mutant
             rejected.add(mutant)
     assert len(rejected) == (7 if name == "d4_swap" else 6)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -12,7 +13,8 @@ import pytest
 
 from foldstab.cli import build_parser, main
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 A3 = str(SPECS / "a3_flip.toml")
 A2 = str(SPECS / "a2_chain.toml")
 A1 = str(SPECS / "a1_trivial.toml")
@@ -495,33 +497,42 @@ def test_unsupported_type_exit_code(capsys, tmp_path) -> None:
     assert code == 0
 
 
-def linear_a12_spec(tmp_path) -> str:
-    spec = tmp_path / "a12.toml"
-    arrows = ", ".join(f'"a{v}: {v} -> {v + 1}"' for v in range(1, 12))
-    spec.write_text(f"[quiver]\nvertices = {list(range(1, 13))}\narrows = [{arrows}]\n", encoding="utf-8")
+def linear_a_spec(tmp_path, n: int) -> str:
+    spec = tmp_path / f"a{n}.toml"
+    arrows = ", ".join(f'"a{v}: {v} -> {v + 1}"' for v in range(1, n))
+    spec.write_text(f"[quiver]\nvertices = {list(range(1, n + 1))}\narrows = [{arrows}]\n", encoding="utf-8")
     return str(spec)
 
 
 def test_catalog_guard_refuses_a12_before_any_walk(capsys, monkeypatch, tmp_path) -> None:
-    import foldstab.cli as cli
+    """A12, and A80 as well, are refused from the type alone: no root
+    closure and no walk starts."""
+    import foldstab
 
     def no_walk(*args):
         raise AssertionError("the exchange graph walk started")
 
+    def no_roots(*args):
+        raise AssertionError("the positive roots were closed")
+
     # Without the guard the walk would visit 742,900 hearts; fail fast instead.
-    monkeypatch.setattr(cli, "build_interval_eg", no_walk)
-    monkeypatch.setattr(cli, "build_folded_eg", no_walk)
-    spec = linear_a12_spec(tmp_path)
-    for argv in (("eg",), ("eg", "--fold"), ("classify",)):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (3, "")
-        assert err == "foldstab: error: A12 has 742900 hearts; the limit is E8's 25080\n"
+    # On A80 the root closure alone takes about a second.
+    monkeypatch.setattr(foldstab.cli, "build_interval_eg", no_walk)
+    monkeypatch.setattr(foldstab.cli, "build_folded_eg", no_walk)
+    for module in (foldstab.quiver, foldstab.reps, foldstab.braid):
+        monkeypatch.setattr(module, "positive_roots", no_roots)
+    for n, hearts in ((12, 742900), (80, 4462290049988320482463241297506133183499654740)):
+        spec = linear_a_spec(tmp_path, n)
+        for argv in (("eg",), ("eg", "--fold"), ("classify",)):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (3, "")
+            assert err == f"foldstab: error: A{n} has {hearts} hearts; the limit is E8's 25080\n"
 
 
 def test_braid_check_on_a12_spaces_letters(capsys, tmp_path) -> None:
-    code, out, err = run_cli(capsys, "braid", linear_a12_spec(tmp_path), "--check", "12 = 1 2")
+    code, out, err = run_cli(capsys, "braid", linear_a_spec(tmp_path, 12), "--check", "12 = 1 2")
     assert (code, err) == (0, "")
     assert out.splitlines() == [
         "ambient type: A12",
@@ -606,6 +617,25 @@ def test_entry_point_runs(child_env) -> None:
     )
     assert script.returncode == 0
     assert script.stdout == proc.stdout
+
+
+def test_import_loads_every_traced_layer_and_no_dataclasses(child_env) -> None:
+    """Every command starts by importing foldstab.cli.  That import must load
+    all the layers perfbench/tracer.py wraps (it wraps them right after the
+    import), and not dataclasses and its inspect, which cost start-up time."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, foldstab.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(os.environ),
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {f"foldstab.{layer}" for layer in tracer.LAYERS} <= loaded
 
 
 def test_repeat_runs_byte_identical(child_env) -> None:

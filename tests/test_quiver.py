@@ -23,6 +23,7 @@ from foldstab.quiver import (
     folded_cartan,
     frobenius_order,
     positive_roots,
+    simply_laced_degrees,
     valued_type_name,
     weyl_degrees,
 )
@@ -47,6 +48,8 @@ def test_quiver_validation() -> None:
         Quiver.make([1], [("a", 1, 2)])
     with pytest.raises(InputError, match="^quiver must be acyclic$"):
         Quiver((1, 2), (a, b))
+    with pytest.raises(InputError, match="^quiver must be acyclic$"):
+        Quiver.make([1], [("a", 1, 1)])
 
 
 def test_quiver_helpers(q_a3: Quiver) -> None:
@@ -393,4 +396,6 @@ WEYL_DEGREES = {
 def test_weyl_degrees_from_root_heights(family, rank) -> None:
     degrees, catalan = WEYL_DEGREES[family, rank]
     assert weyl_degrees(positive_roots(cartan_for_type(family, rank))) == degrees
+    if family in "ADE":
+        assert simply_laced_degrees(family, rank) == degrees
     assert prod(degrees[-1] + d for d in degrees) // prod(degrees) == catalan

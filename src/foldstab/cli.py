@@ -22,12 +22,11 @@ quiver type, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
 from .cells import (
@@ -54,8 +53,9 @@ from .specfile import parse_quiver
 
 def _load(path: str) -> tuple[Quiver, Automorphism]:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        # utf-8-sig would count the offset of a bad byte from after the BOM.
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -418,6 +418,8 @@ def main(argv=None) -> int:
         analysis = Analysis(*_load(args.specfile))
         payload = cmd.payload(analysis, getattr(args, "fold", False), getattr(args, "check", None))
         if args.format == "json":
+            import json
+
             text = json.dumps({"schema": 1, **payload}, indent=2) + "\n"
         else:
             text = (cmd.dot if args.format == "dot" else cmd.table)(payload)
@@ -439,6 +441,21 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0
+
+
+def run() -> NoReturn:
+    """Entry point of ``python -m foldstab`` and of the ``foldstab`` script.
+
+    Runs `main`, flushes stdout and stderr, and ends the process with
+    ``os._exit``, which skips interpreter teardown: nothing is left to do
+    once the output is flushed, and an ``--out`` file is closed by `main`.
+    An exception or SystemExit from `main` (argparse errors, --help) leaves
+    through the normal exit.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .quiver import Automorphism, cycles
+from .quiver import Automorphism, CheckedRecord, cycles
 from .reps import Catalog
 
 Simple = tuple[int, int]
@@ -33,7 +33,7 @@ class _HeartFields(NamedTuple):
     simples: tuple[Simple, ...]
 
 
-class Heart(_HeartFields):
+class Heart(CheckedRecord, _HeartFields):
     __slots__ = ()
 
     def __new__(cls, simples: tuple[Simple, ...]):

@@ -11,18 +11,24 @@ Fraction entries (or ints) scale each row to integers first; `solve`,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
+if TYPE_CHECKING:
+    # Only the routines that return Fractions import fractions at run time:
+    # the production path is integral, and the import costs start-up time.
+    from fractions import Fraction
+
+Vector = tuple["Fraction", ...]
+Matrix = tuple[tuple["Fraction", ...], ...]
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
     """Freeze nested sequences into a matrix of Fractions."""
+    from fractions import Fraction
+
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
@@ -111,6 +117,8 @@ def _int_rows(a) -> list[list[int]]:
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
+    from fractions import Fraction
+
     rows, pivots, d, _ = echelon(_int_rows(a))
     return tuple(tuple(Fraction(x, d) for x in row) for row in rows), pivots
 
@@ -144,6 +152,8 @@ def kernel_basis(a: Matrix) -> tuple[IntVector, ...]:
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None if inconsistent."""
+    from fractions import Fraction
+
     if not a:
         return () if all(x == 0 for x in b) else None
     ncols = len(a[0])
@@ -157,6 +167,8 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def inverse(a: Matrix) -> Matrix:
+    from fractions import Fraction
+
     n = len(a)
     rows, pivots, d, _ = echelon(_int_rows((*row, *unit) for row, unit in zip(a, int_identity(n))))
     if pivots != tuple(range(n)):

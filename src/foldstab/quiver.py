@@ -39,12 +39,26 @@ class Arrow(NamedTuple):
     head: int
 
 
+class CheckedRecord:
+    """Base of a NamedTuple whose ``__new__`` checks its fields.
+
+    ``_replace`` builds its result through ``_make``, which on a plain
+    NamedTuple skips ``__new__``; here it goes through the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _QuiverFields(NamedTuple):
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
 
 
-class Quiver(_QuiverFields):
+class Quiver(CheckedRecord, _QuiverFields):
     """Finite acyclic quiver; vertices sorted, arrows sorted by name."""
 
     def __new__(cls, vertices: tuple[int, ...], arrows: tuple[Arrow, ...]):
@@ -91,7 +105,7 @@ class _AutomorphismFields(NamedTuple):
     arrow_images: tuple[str, ...]
 
 
-class Automorphism(_AutomorphismFields):
+class Automorphism(CheckedRecord, _AutomorphismFields):
     """Quiver automorphism: vertex images aligned with quiver.vertices,
     arrow images aligned with quiver.arrows."""
 

@@ -1,8 +1,9 @@
 """Exact quiver representations over the rationals.
 
 A representation assigns a dimension to every vertex and a matrix to every
-arrow.  Everything here is exact: matrices have Fraction entries and all
-dimensions (Hom, Ext, kernels, cokernels) come from exact linear algebra.
+arrow.  Everything here is exact: matrices have integer entries, or
+Fractions where `linalg.solve` divided, and all dimensions (Hom, Ext,
+kernels, cokernels) come from exact linear algebra.
 
 The catalog of a Dynkin quiver holds one indecomposable per positive root
 and works on the roots alone: the roots are `quiver.positive_roots` of the
@@ -19,7 +20,6 @@ the unique indecomposable in its class, so the certificate pins it exactly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from math import prod
@@ -30,6 +30,7 @@ from .errors import InternalError, UnsupportedTypeError
 from .linalg import Matrix, integer_left_kernel, kernel_basis, mat_vec, rref, solve
 from .quiver import (
     Automorphism,
+    CheckedRecord,
     Quiver,
     cartan_matrix,
     dynkin_type,
@@ -39,12 +40,8 @@ from .quiver import (
     simply_laced_degrees,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _zeros(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
 
 
 class _RepresentationFields(NamedTuple):
@@ -53,7 +50,7 @@ class _RepresentationFields(NamedTuple):
     maps: tuple[Matrix, ...]
 
 
-class Representation(_RepresentationFields):
+class Representation(CheckedRecord, _RepresentationFields):
     """Matrices indexed like the quiver's arrow list; dims like its vertices."""
 
     __slots__ = ()
@@ -89,7 +86,7 @@ def direct_sum(reps: list[Representation]) -> Representation:
     for ai, a in enumerate(q.arrows):
         hi = q.vertex_index[a.head]
         ti = q.vertex_index[a.tail]
-        block = [[_ZERO] * dims[ti] for _ in range(dims[hi])]
+        block = [[0] * dims[ti] for _ in range(dims[hi])]
         ro = co = 0
         for r in reps:
             m = r.maps[ai]
@@ -126,7 +123,7 @@ def _intertwiner_rows(m: Representation, n: Representation):
         ma, na = m.maps[ai], n.maps[ai]
         for i in range(n.dims[hi]):
             for j in range(m.dims[ti]):
-                row = [_ZERO] * nvars
+                row = [0] * nvars
                 for k in range(m.dims[hi]):
                     row[offsets[hi] + i * m.dims[hi] + k] += ma[k][j]
                 for l in range(n.dims[ti]):
@@ -152,7 +149,7 @@ def hom_space(m: Representation, n: Representation) -> list[ModuleMap]:
     if rows:
         basis = kernel_basis(tuple(rows))
     else:
-        basis = [tuple(_ONE if i == j else _ZERO for j in range(nvars)) for i in range(nvars)]
+        basis = [tuple(1 if i == j else 0 for j in range(nvars)) for i in range(nvars)]
     return [_unpack_map(vec, m, n, offsets) for vec in basis]
 
 
@@ -193,10 +190,10 @@ def ext1_space(m: Representation, n: Representation) -> list[Cocycle]:
             hi = q.vertex_index[a.head]
             ti = q.vertex_index[a.tail]
             nd, md = n.dims[hi], m.dims[ti]
-            g = [[_ZERO] * md for _ in range(nd)]
+            g = [[0] * md for _ in range(nd)]
             base = tgt_offsets[ai]
             if base <= k < base + nd * md:
-                g[(k - base) // md][(k - base) % md] = _ONE
+                g[(k - base) // md][(k - base) % md] = 1
             cocycle.append(tuple(tuple(r) for r in g))
         classes.append(tuple(cocycle))
     return classes
@@ -215,7 +212,7 @@ def extension_module(m: Representation, n: Representation, cocycle: Cocycle) -> 
         hi = q.vertex_index[a.head]
         ti = q.vertex_index[a.tail]
         na, ma, ga = n.maps[ai], m.maps[ai], cocycle[ai]
-        block = [[_ZERO] * dims[ti] for _ in range(dims[hi])]
+        block = [[0] * dims[ti] for _ in range(dims[hi])]
         for i in range(n.dims[hi]):
             for j in range(n.dims[ti]):
                 block[i][j] = na[i][j]
@@ -284,7 +281,7 @@ def kernel_module(phi: ModuleMap, m: Representation) -> Representation:
         if m.dims[vi] == 0:
             bases.append([])
         elif not phi[vi]:
-            bases.append([tuple(_ONE if i == j else _ZERO for j in range(m.dims[vi]))
+            bases.append([tuple(1 if i == j else 0 for j in range(m.dims[vi]))
                           for i in range(m.dims[vi])])
         else:
             bases.append(list(kernel_basis(phi[vi])))
@@ -321,7 +318,7 @@ def cokernel_module(phi: ModuleMap, m: Representation, n: Representation) -> Rep
     bases: list[Matrix] = []
     for vi in range(len(q.vertices)):
         nd, md = n.dims[vi], m.dims[vi]
-        aug = tuple((*phi[vi][i], *(_ONE if i == j else _ZERO for j in range(nd))) for i in range(nd))
+        aug = tuple((*phi[vi][i], *(1 if i == j else 0 for j in range(nd))) for i in range(nd))
         _, pivots = rref(aug)
         comps.append([p - md for p in pivots if p >= md])
         bases.append(tuple(tuple(row[p] for p in pivots) for row in aug))
@@ -330,7 +327,7 @@ def cokernel_module(phi: ModuleMap, m: Representation, n: Representation) -> Rep
     for ai, a in enumerate(q.arrows):
         hi = q.vertex_index[a.head]
         ti = q.vertex_index[a.tail]
-        block = [[_ZERO] * dims[ti] for _ in range(dims[hi])]
+        block = [[0] * dims[ti] for _ in range(dims[hi])]
         if dims[ti] and dims[hi]:
             for cj, j in enumerate(comps[ti]):
                 y = tuple(n.maps[ai][i][j] for i in range(n.dims[hi]))
@@ -382,7 +379,7 @@ def _build_indecomposable(q: Quiver, d: tuple[int, ...]) -> Representation:
             rows = d[q.vertex_index[a.head]]
             cols = d[q.vertex_index[a.tail]]
             maps.append(
-                tuple(tuple(Fraction(next(entries)) for _ in range(cols)) for _ in range(rows))
+                tuple(tuple(next(entries) for _ in range(cols)) for _ in range(rows))
             )
         r = Representation(q, d, tuple(maps))
         if hom_dim(r, r) == 1:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
@@ -401,12 +402,15 @@ def test_missing_file(capsys) -> None:
 
 def test_spec_that_is_not_utf8_is_an_input_error(capsys, tmp_path) -> None:
     spec = tmp_path / "latin1.toml"
-    spec.write_bytes("# quiver für A1\n[quiver]\nvertices = [1]\n".encode("latin-1"))
-    code, out, err = run_cli(capsys, "fold", str(spec))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"foldstab: error: cannot read {spec}: not UTF-8")
-    assert err.count("\n") == 1
+    # The offset counts from the start of the file, byte order mark included.
+    for bom in (b"", b"\xef\xbb\xbf"):
+        data = bom + "# quiver für A1\n[quiver]\nvertices = [1]\n".encode("latin-1")
+        spec.write_bytes(data)
+        code, out, err = run_cli(capsys, "fold", str(spec))
+        assert code == 2
+        assert out == ""
+        offset = data.index(b"\xfc")
+        assert err == f"foldstab: error: cannot read {spec}: not UTF-8 (invalid start byte at byte {offset})\n"
 
 
 def test_spec_with_a_byte_order_mark_reads_as_without(capsys, tmp_path) -> None:
@@ -622,7 +626,10 @@ def test_entry_point_runs(child_env) -> None:
 def test_import_loads_every_traced_layer_and_no_dataclasses(child_env) -> None:
     """Every command starts by importing foldstab.cli.  That import must load
     all the layers perfbench/tracer.py wraps (it wraps them right after the
-    import), and not dataclasses and its inspect, which cost start-up time."""
+    import), and none of the modules that cost start-up time and that most
+    commands never use: dataclasses and its inspect, fractions with decimal
+    and numbers (only the Fraction routines of linalg import it), and json
+    (only --format json imports it)."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -634,8 +641,46 @@ def test_import_loads_every_traced_layer_and_no_dataclasses(child_env) -> None:
         check=True,
     )
     loaded = set(proc.stdout.split())
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"} & loaded
+    assert len(tracer.LAYERS) == 9
     assert {f"foldstab.{layer}" for layer in tracer.LAYERS} <= loaded
+    for layer, attr in tracer.SPANNED:
+        functools.reduce(getattr, attr.split("."), importlib.import_module(f"foldstab.{layer}"))
+
+
+def test_module_entry_writes_what_main_writes_and_exits_with_its_code(
+    capsysbinary, child_env, tmp_path
+) -> None:
+    """`python -m foldstab` ends with os._exit once main has returned and the
+    output is flushed; nothing of the output or the exit code may be lost."""
+    env = child_env(os.environ)
+
+    def child(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "foldstab", *argv], capture_output=True, env=env)
+
+    for spec in (A3, D4_ROT):
+        for command in COMMANDS:
+            for fmt in ("dot", "json", "table") if command in DOT_COMMANDS else ("json", "table"):
+                argv = (command, spec, "--format", fmt)
+                assert main(list(argv)) == 0
+                proc = child(*argv)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsysbinary.readouterr().out, b""), argv
+    target = tmp_path / "report.json"
+    proc = child("report", D4_ROT, "--out", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    main(["report", D4_ROT])
+    assert target.read_bytes() == capsysbinary.readouterr().out
+    assert child("fold", str(tmp_path / "missing.toml")).returncode == 2
+    kronecker = tmp_path / "kronecker.toml"
+    kronecker.write_text('[quiver]\nvertices = [1, 2]\narrows = ["a: 1 -> 2", "b: 1 -> 2"]\n', encoding="utf-8")
+    proc = child("eg", str(kronecker))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"foldstab: error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense", A3])
+    assert exc.value.code == 2
+    proc = child("nonsense", A3)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", capsysbinary.readouterr().err)
 
 
 def test_repeat_runs_byte_identical(child_env) -> None:

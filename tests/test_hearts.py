@@ -217,6 +217,10 @@ def test_validate_rejects_bad_hearts(cat_a3) -> None:
 def test_heart_checks_order_and_hashes_as_its_simples() -> None:
     with pytest.raises(InternalError, match="^heart simples not in canonical order$"):
         Heart(((1, 0), (0, 0)))
+    with pytest.raises(InternalError, match="^heart simples not in canonical order$"):
+        make_heart([(1, 0), (0, 0)])._replace(simples=((1, 0), (0, 0)))
+    with pytest.raises(InternalError, match="^heart simples not in canonical order$"):
+        Heart._make((((1, 0), (0, 0)),))
     simples = [(2, 1), (0, 0), (1, 0)]
     assert hash(make_heart(simples)) == hash((tuple(sorted(simples)),))
 

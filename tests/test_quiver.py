@@ -48,6 +48,13 @@ def test_quiver_validation() -> None:
         Quiver.make([1], [("a", 1, 2)])
     with pytest.raises(InputError, match="^quiver must be acyclic$"):
         Quiver((1, 2), (a, b))
+    # _replace and _make build through the same checks.
+    good = Quiver((1, 2), (a,))
+    with pytest.raises(InputError, match="^vertex ids must be unique and sorted$"):
+        good._replace(vertices=(2, 1))
+    with pytest.raises(InputError, match="^quiver must be acyclic$"):
+        Quiver._make(((1, 2), (a, b)))
+    assert good._replace(vertices=(1, 2, 3)).vertex_index == {1: 0, 2: 1, 3: 2}
     with pytest.raises(InputError, match="^quiver must be acyclic$"):
         Quiver.make([1], [("a", 1, 1)])
 
@@ -72,6 +79,10 @@ def test_automorphism_validation(q_a3: Quiver, flip_a3: Automorphism) -> None:
         match="^arrow permutation is incompatible: 'a' -> 'a' does not match the vertex permutation$",
     ):
         Automorphism(q_a3, (3, 2, 1), ("a", "b"))
+    with pytest.raises(InputError, match="^vertex permutation is not a bijection on the vertices$"):
+        flip_a3._replace(vertex_images=(1, 1, 2))
+    with pytest.raises(InputError, match="^arrow permutation is incompatible: 'a' -> 'a' "):
+        flip_a3._replace(arrow_images=("a", "b"))
     ident = Automorphism.identity(q_a3)
     assert ident.is_identity()
     assert not flip_a3.is_identity()

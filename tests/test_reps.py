@@ -51,6 +51,14 @@ def test_representation_checks_its_shape(q_a2) -> None:
         Representation(q_a2, (0, 1), ((),))
     with pytest.raises(InternalError, match="^matrix shape mismatch on arrow 'a'$"):
         Representation(q_a2, (1, 1), (((),),))
+    # _replace and _make build through the same checks.
+    good = Representation(q_a2, (1, 1), (((1,),),))
+    with pytest.raises(InternalError, match="^representation shape mismatch$"):
+        good._replace(dims=(1,))
+    with pytest.raises(InternalError, match="^matrix shape mismatch on arrow 'a'$"):
+        good._replace(dims=(1, 2))
+    with pytest.raises(InternalError, match="^matrix shape mismatch on arrow 'a'$"):
+        Representation._make((q_a2, (0, 1), ((),)))
 
 
 def test_catalog_sizes(cat_a2, cat_a3, cat_a5, cat_d4, cat_d5) -> None:

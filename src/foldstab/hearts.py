@@ -15,7 +15,10 @@ An `ExchangeGraph` edge names the positions it tilts in its source heart.
 The interval graph collects the hearts whose simples all sit at shifts 0 or
 1; it is finite for Dynkin quivers and every edge is a forward tilt at one
 shift-0 simple.  The folded graph collects the F-stable hearts, and every
-edge is an orbit tilt at a shift-0 transport orbit.
+edge is an orbit tilt at a shift-0 transport orbit.  An orbit tilt is one
+simple tilt of the folded heart, and `orbit_tilt` is its one body.
+Admissibility makes the Euler entries between members of an orbit vanish,
+so their tilts commute, and `orbit_tilt` does them in turn.
 """
 
 from __future__ import annotations
@@ -154,51 +157,34 @@ def build_interval_eg(catalog: Catalog) -> ExchangeGraph:
     return ExchangeGraph(*_walk(seed_heart(catalog), moves))
 
 
-def transport_heart(perm: tuple[int, ...], heart: Heart) -> Heart:
-    return make_heart((perm[idx], shift) for idx, shift in heart.simples)
+def _transport_positions(perm: tuple[int, ...], heart: Heart) -> list[int | None]:
+    """The position F sends each simple to, or None where its image is not in the heart."""
+    pos_of = {s: i for i, s in enumerate(heart.simples)}
+    return [pos_of.get((perm[idx], shift)) for idx, shift in heart.simples]
 
 
 def is_f_stable(perm: tuple[int, ...], heart: Heart) -> bool:
-    return transport_heart(perm, heart) == heart
+    return None not in _transport_positions(perm, heart)
 
 
 def f_orbits_of_heart(perm: tuple[int, ...], heart: Heart) -> tuple[tuple[int, ...], ...]:
     """Positions of the simples grouped into transport orbits."""
-    if not is_f_stable(perm, heart):
+    image = _transport_positions(perm, heart)
+    if None in image:
         raise InputError("heart is not stable under the automorphism")
-    pos_of = {s: i for i, s in enumerate(heart.simples)}
-    image = [pos_of[(perm[idx], shift)] for idx, shift in heart.simples]
     return cycles(range(len(image)), image.__getitem__)
 
 
-def multi_tilt(catalog: Catalog, heart: Heart, positions: tuple[int, ...]) -> Heart:
-    """Tilt forward at several simples at once.
-
-    Requires the selected simples to be pairwise non-interacting (the Euler
-    pairing, hence Hom and Ext, vanishes in both directions), which makes the
-    individual tilts commute.
-    """
-    chosen = [heart.simples[p] for p in positions]
-    if len(set(chosen)) != len(chosen):
-        raise InputError("duplicate tilt position")
-    for i, (xi, _) in enumerate(chosen):
-        for j, (yj, _) in enumerate(chosen):
-            if i == j:
-                continue
-            if catalog.euler[xi][yj]:
-                raise InputError("selected simples interact; multi-tilt undefined")
-    current = heart
-    for simple in chosen:
-        current = tilt_forward(catalog, current, current.position_of(simple))
-    return current
-
-
 def orbit_tilt(catalog: Catalog, perm: tuple[int, ...], heart: Heart, orbit: tuple[int, ...]) -> Heart:
-    """Forward tilt at a full transport orbit of simples."""
-    orbits = f_orbits_of_heart(perm, heart)
-    if orbit not in orbits:
+    """Forward tilt at a full transport orbit: one simple tilt of the folded heart."""
+    if orbit not in f_orbits_of_heart(perm, heart):
         raise InputError("not a transport orbit of this heart")
-    new = multi_tilt(catalog, heart, orbit)
+    chosen = [heart.simples[p] for p in orbit]
+    if any(catalog.euler[x][y] for x, _ in chosen for y, _ in chosen if x != y):
+        raise InternalError("orbit members interact; the orbit tilt is undefined")
+    new = heart
+    for simple in chosen:
+        new = tilt_forward(catalog, new, new.position_of(simple))
     if not is_f_stable(perm, new):
         raise InternalError("orbit tilt left the stable locus")
     return new

@@ -528,23 +528,3 @@ class Catalog:
             out.append(idx)
         return tuple(out)
 
-
-def cy3_hom_dims(catalog: Catalog, x, y) -> dict[int, int]:
-    """Graded Hom dimensions between shifted sums in the 3-Calabi-Yau closure.
-
-    x and y are sequences of (catalog index, shift) summands.  Degrees k with
-    hom^k(x, y) = hom^0(x, y[k]) nonzero map to their dimensions; over the
-    hereditary side every pair contributes its Hom/Ext in degrees 0 and 1
-    plus the dual copies in degrees 3 and 2.
-    """
-    out: dict[int, int] = {}
-    for xi, xs in x:
-        for yi, ys in y:
-            offset = xs - ys
-            fwd, bwd = catalog.euler[xi][yi], catalog.euler[yi][xi]
-            # chi > 0 is a Hom in degree 0 and chi < 0 an Ext^1 in degree 1;
-            # the pair read backwards lands in the dual degrees 3 and 2.
-            for k, chi in ((offset + (fwd < 0), fwd), (offset + 3 - (bwd < 0), bwd)):
-                if chi:
-                    out[k] = out.get(k, 0) + abs(chi)
-    return {k: v for k, v in sorted(out.items())}

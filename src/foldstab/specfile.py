@@ -9,6 +9,7 @@ entry fits on one line):
     value    := string | int | list
     list     := '[' (item (',' item)* ','?)? ']'    items all strings or all ints
     string   := '"' characters '"'
+    int      := ('+' | '-')? ascii-digit+
 
 Sections and their keys:
 
@@ -16,9 +17,11 @@ Sections and their keys:
                     arrows   = ["a: 2 -> 1", ...]   optional; each item is
                                                     'name: tail -> head'
     [automorphism]  vertex_perm = "(1 3)"           required, cycles on vertex
-                                                    ids, fixed points omitted
+                                                    ids, fixed points omitted,
+                                                    each id at most once
                     arrow_perm  = "(a b)"           optional, cycles on arrow
-                                                    names; inferred when the
+                                                    names, each at most once;
+                                                    inferred when the
                                                     vertex permutation forces
                                                     a unique arrow bijection
 
@@ -33,8 +36,10 @@ import re
 from .errors import InputError, SpecParseError, quote
 from .quiver import Automorphism, Quiver
 
-_ARROW_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(-?[0-9]+)\s*->\s*(-?[0-9]+)\s*$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+_ARROW_RE = re.compile(rf"^\s*([A-Za-z_]\w*)\s*:\s*({_INT_RE.pattern})\s*->\s*({_INT_RE.pattern})\s*$")
+# One cycle, else an unclosed '(', else a stray character; whitespace between is skipped.
+_CYCLE_RE = re.compile(r"\(([^)]*)\)|(\()|(\S)")
 
 _SCHEMA = {
     "quiver": {"vertices", "arrows"},
@@ -90,14 +95,14 @@ class _Line:
 
     def integer(self) -> int:
         self.skip_space()
-        m = re.match(r"-?[0-9]+", self.text[self.pos :])
+        m = _INT_RE.match(self.text, self.pos)
         if not m:
             self.error("expected an integer")
         try:
             value = int(m.group())
         except ValueError:
             self.error("integer literal is too long")
-        self.pos += m.end()
+        self.pos = m.end()
         return value
 
     def string(self) -> tuple[str, int]:
@@ -129,7 +134,7 @@ class _Line:
                         self.pos += 1
                         return items
                 items.append(self.string() if self.peek() == '"' else self.integer())
-        if c.isdigit() or c == "-":
+        if c.isdigit() or c in ("+", "-"):
             return self.integer()
         self.error("expected a value")
 
@@ -172,25 +177,18 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple]]:
 
 def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
     """Parse cycle notation like '(1 3)(2 5)' over the given universe, reading
-    each token with `element` (ascii_int for vertex ids, str for arrow names)."""
+    each token with `element` (ascii_int for vertex ids, str for arrow names).
+    An element may appear only once in all the cycles, so they are disjoint."""
     mapping = {x: x for x in universe}
-    body = text.strip()
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        if body[pos] != "(":
-            raise InputError(f"{kind}: expected '(' in cycle notation, got {body[pos]!r}")
-        end = body.find(")", pos)
-        if end < 0:
+    seen = set()
+    for m in _CYCLE_RE.finditer(text):
+        cycle, unclosed, stray = m.groups()
+        if stray is not None:
+            raise InputError(f"{kind}: expected '(' in cycle notation, got {stray!r}")
+        if unclosed is not None:
             raise InputError(f"{kind}: unterminated cycle")
-        items = body[pos + 1 : end].replace(",", " ").split()
-        pos = end + 1
-        if not items:
-            continue
         elems = []
-        for t in items:
+        for t in cycle.replace(",", " ").split():
             try:
                 elems.append(element(t))
             except ValueError:
@@ -200,13 +198,11 @@ def _parse_cycles(text: str, kind: str, universe: list, element) -> dict:
         for e in elems:
             if e not in mapping:
                 raise InputError(f"{kind}: {quote(e)} is not declared")
-            if mapping[e] != e:
-                raise InputError(f"{kind}: {quote(e)} appears in two cycles")
+            if e in seen:
+                raise InputError(f"{kind}: {quote(e)} appears twice")
+            seen.add(e)
         for a, b in zip(elems, elems[1:] + elems[:1]):
             mapping[a] = b
-    touched = [x for x in universe if mapping[x] != x]
-    if sorted(mapping.values(), key=universe.index) != universe and touched:
-        raise InputError(f"{kind}: not a permutation")
     return mapping
 
 

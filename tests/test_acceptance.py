@@ -35,7 +35,6 @@ from foldstab.quiver import Automorphism, euler_form_cy3, fold, valued_type_name
 
 from oracles import brute_force_folded_eg
 from properties import (
-    run_cy3_duality,
     run_euler_identity,
     run_identify_additivity,
     run_multi_tilt_orders,
@@ -206,7 +205,6 @@ def test_c6_property_suites(
         "tilt round-trips": run_tilt_round_trips(core),
         "multi-tilt orders": run_multi_tilt_orders(core + [cat_a5]),
         "Euler identity": run_euler_identity(core + [cat_a5, cat_d5]),
-        "CY-3 duality": run_cy3_duality(core),
         "identify additivity": run_identify_additivity(core, 170, seed=20240817),
         "orbit tilt stability": run_orbit_tilt_stability(
             [(c, Automorphism.identity(c.quiver)) for c in core + [cat_a5]]

@@ -5,8 +5,9 @@ traceback (an exception escaping ``main``) is a bug.  ``fold`` runs on many
 mutants; ``eg``, ``classify`` and ``braid --check`` run on fewer, because a
 mutant that stays a valid fold classifies every cell.  The mutants are the
 `specs/` fixtures with lines dropped or duplicated and tokens replaced by
-other tokens of the fixtures.  The search is derandomized so the suite stays
-deterministic.
+other tokens of the fixtures.  The cycle reader is fuzzed on its own, with
+random cycle strings over a small universe.  The search is derandomized so
+the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from foldstab.cli import main  # noqa: E402
+from foldstab.errors import InputError  # noqa: E402
+from foldstab.specfile import _parse_cycles, ascii_int  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 FIXTURES = [p.read_text(encoding="utf-8") for p in sorted(SPECS.glob("*.toml"))]
@@ -69,3 +72,28 @@ def test_command_exit_codes_on_mutated_specs(spec_path, text) -> None:
     spec_path.write_text(text, encoding="utf-8")
     for command, *options in COMMANDS:
         assert main([command, str(spec_path), *options]) in {0, 2, 3, 4}
+
+
+# Tokens 0 and 5 are not in the universe.
+UNIVERSE = [1, 2, 3, 4]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    cycles=st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=4),
+    sep=st.sampled_from((" ", ",", ", ")),
+)
+def test_cycle_strings_read_as_a_bijection_or_are_refused(cycles, sep) -> None:
+    text = " ".join("(" + sep.join(map(str, c)) + ")" for c in cycles)
+    listed = [e for c in cycles for e in c]
+    try:
+        mapping = _parse_cycles(text, "vertex_perm", UNIVERSE, ascii_int)
+    except InputError:
+        assert len(set(listed)) < len(listed) or not set(listed) <= set(UNIVERSE)
+        return
+    assert len(set(listed)) == len(listed)
+    assert sorted(mapping.values()) == UNIVERSE
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            assert mapping[a] == b
+    assert all(mapping[x] == x for x in UNIVERSE if x not in listed)

@@ -15,12 +15,10 @@ from foldstab.hearts import (
     heart_label,
     is_f_stable,
     make_heart,
-    multi_tilt,
     orbit_tilt,
     seed_heart,
     tilt_backward,
     tilt_forward,
-    transport_heart,
 )
 
 from foldstab.quiver import Automorphism, Quiver
@@ -28,6 +26,7 @@ from foldstab.reps import Catalog
 from foldstab.specfile import parse_quiver
 
 from oracles import (
+    _position_orbits,
     brute_force_folded_eg,
     module_tables,
     module_tilt_backward,
@@ -241,35 +240,6 @@ def test_tilt_produces_valid_hearts(cat_a3) -> None:
             validate_heart(cat_a3, tilt_backward(cat_a3, heart, pos))
 
 
-def test_multi_tilt_rejections(cat_a2, cat_a3) -> None:
-    seed2 = seed_heart(cat_a2)
-    with pytest.raises(InputError, match="interact"):
-        multi_tilt(cat_a2, seed2, (0, 1))
-    seed3 = seed_heart(cat_a3)
-    with pytest.raises(InputError, match="duplicate"):
-        multi_tilt(cat_a3, seed3, (0, 0))
-
-
-def test_multi_tilt_equals_single_tilts(cat_a3) -> None:
-    seed = seed_heart(cat_a3)
-    t1 = (cat_a3.simple_index(1), 0)
-    t3 = (cat_a3.simple_index(3), 0)
-    both = multi_tilt(cat_a3, seed, (seed.position_of(t1), seed.position_of(t3)))
-    one = tilt_forward(cat_a3, seed, seed.position_of(t1))
-    two = tilt_forward(cat_a3, one, one.position_of(t3))
-    assert both == two
-
-
-def test_transport_and_stability(cat_a3, flip_a3) -> None:
-    perm = cat_a3.transport_index(flip_a3)
-    seed = seed_heart(cat_a3)
-    assert transport_heart(perm, seed) == seed
-    assert is_f_stable(perm, seed)
-    tilted = tilt_forward(cat_a3, seed, 0)
-    assert not is_f_stable(perm, tilted)
-    assert transport_heart(perm, transport_heart(perm, tilted)) == tilted
-
-
 def test_f_orbits(cat_a3, flip_a3) -> None:
     perm = cat_a3.transport_index(flip_a3)
     seed = seed_heart(cat_a3)
@@ -292,6 +262,21 @@ def test_orbit_tilt_seed_center(cat_a3, flip_a3) -> None:
     assert is_f_stable(perm, new)
     with pytest.raises(InputError, match="orbit"):
         orbit_tilt(cat_a3, perm, seed, (0,))
+    with pytest.raises(InputError, match="orbit"):
+        orbit_tilt(cat_a3, perm, seed, (0, 0))
+
+
+def test_orbit_tilt_refuses_interacting_members(cat_a2) -> None:
+    # No admissible automorphism swaps the two ends of an arrow, so this
+    # orbit can only come from a wrong transport permutation.
+    i, j = cat_a2.simple_index(1), cat_a2.simple_index(2)
+    perm = list(range(len(cat_a2.roots)))
+    perm[i], perm[j] = j, i
+    seed = seed_heart(cat_a2)
+    orbits = f_orbits_of_heart(tuple(perm), seed)
+    assert orbits == ((0, 1),)
+    with pytest.raises(InternalError, match="interact"):
+        orbit_tilt(cat_a2, tuple(perm), seed, (0, 1))
 
 
 def test_folded_eg_counts(cat_a3, flip_a3, cat_d4, rot_d4, swap_d4, cat_a5, flip_a5) -> None:
@@ -355,12 +340,34 @@ def test_walks_call_the_public_tilts_once_per_edge(monkeypatch) -> None:
 SEEDED = {"A7": ("A", 7, 7), "D5": ("D", 5, 5), "E6": ("E", 6, 1)}
 
 
-@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.toml")) + sorted(SEEDED))
-def test_folded_eg_of_the_identity_is_the_interval_eg(spec) -> None:
+ALL_SPECS = sorted(p.stem for p in SPECS.glob("*.toml")) + sorted(SEEDED)
+
+
+def _parse_spec(spec: str):
     if spec in SEEDED:
-        text = seeded_dynkin_spec(*SEEDED[spec])
-    else:
-        text = (SPECS / f"{spec}.toml").read_text(encoding="utf-8")
-    catalog = Catalog(parse_quiver(text)[0])
+        return parse_quiver(seeded_dynkin_spec(*SEEDED[spec]))
+    return parse_quiver((SPECS / f"{spec}.toml").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_folded_eg_of_the_identity_is_the_interval_eg(spec) -> None:
+    catalog = Catalog(_parse_spec(spec)[0])
     identity = catalog.transport_index(Automorphism.identity(catalog.quiver))
     assert build_folded_eg(catalog, identity) == build_interval_eg(catalog)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_f_stability_and_orbits_match_the_transported_heart(spec) -> None:
+    q, s = _parse_spec(spec)
+    catalog = Catalog(q)
+    interval = build_interval_eg(catalog).hearts
+    for f in (Automorphism.identity(q),) + ((s,) if s else ()):
+        perm = catalog.transport_index(f)
+        for h in interval:
+            stable = make_heart((perm[idx], shift) for idx, shift in h.simples) == h
+            assert is_f_stable(perm, h) == stable
+            if stable:
+                assert f_orbits_of_heart(perm, h) == tuple(_position_orbits(perm, h.simples))
+            else:
+                with pytest.raises(InputError, match="not stable"):
+                    f_orbits_of_heart(perm, h)

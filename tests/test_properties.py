@@ -3,7 +3,6 @@ from __future__ import annotations
 from foldstab.quiver import Automorphism
 
 from properties import (
-    run_cy3_duality,
     run_euler_identity,
     run_identify_additivity,
     run_multi_tilt_orders,
@@ -26,11 +25,6 @@ def test_multi_tilt_orders(cat_a2, cat_a3, cat_d4, cat_a5) -> None:
 def test_euler_identity(cat_a2, cat_a3, cat_a5, cat_d4, cat_d5) -> None:
     cases = run_euler_identity([cat_a2, cat_a3, cat_a5, cat_d4, cat_d5])
     assert cases == 814
-
-
-def test_cy3_duality(cat_a2, cat_a3, cat_d4) -> None:
-    cases = run_cy3_duality([cat_a2, cat_a3, cat_d4])
-    assert cases == 3024
 
 
 def test_identify_additivity(cat_a2, cat_a3, cat_d4) -> None:

@@ -8,7 +8,6 @@ from foldstab.quiver import Automorphism, Quiver, cartan_matrix, euler_form_here
 from foldstab.reps import (
     Catalog,
     Representation,
-    cy3_hom_dims,
     direct_sum,
     ext1_dim,
     ext1_space,
@@ -235,14 +234,3 @@ def test_euler_pairing_against_tables(cat_a3) -> None:
             expected = cat_a3.euler[i][j]
             assert pairing(chi, cat_a3.reps[i].dims, cat_a3.reps[j].dims) == expected
 
-
-def test_cy3_hom_dims_shapes(cat_a3) -> None:
-    t1 = (cat_a3.simple_index(1), 0)
-    t2 = (cat_a3.simple_index(2), 0)
-    dims = cy3_hom_dims(cat_a3, (t1,), (t1,))
-    assert dims[0] == 1 and dims[3] == 1
-    assert cy3_hom_dims(cat_a3, (t2,), (t1,)) == {1: 1}
-    assert cy3_hom_dims(cat_a3, (t1,), (t2,)) == {2: 1}
-    assert cy3_hom_dims(cat_a3, ((t2[0], 1),), (t1,)) == {2: 1}
-    both = cy3_hom_dims(cat_a3, (t1, t2), (t1, t2))
-    assert both[0] == 2 and both[3] == 2 and both[1] == 1 and both[2] == 1

@@ -133,6 +133,51 @@ def test_vertex_perm_double_use_rejected() -> None:
         )
 
 
+@pytest.mark.parametrize(
+    "perm, repeated", [("(1 1)", 1), ("(3)(1 3)", 3), ("(1)(1 3)", 1), ("(1 3)(3)", 3)]
+)
+def test_vertex_perm_repeat_is_refused(tmp_path, capsys, perm, repeated) -> None:
+    from foldstab.cli import main
+
+    text = '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
+    text += f'[automorphism]\nvertex_perm = "{perm}"\n'
+    with pytest.raises(InputError, match=rf"^vertex_perm: {repeated} appears twice$"):
+        parse_quiver(text)
+    spec = tmp_path / "repeat.toml"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["fold", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_arrow_perm_repeat_is_refused() -> None:
+    with pytest.raises(InputError, match=r"^arrow_perm: 'a' appears twice$"):
+        parse_quiver(
+            '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
+            '[automorphism]\nvertex_perm = "(1 3)"\narrow_perm = "(a)(a b)"\n'
+        )
+
+
+def test_signed_integers_read_as_unsigned(tmp_path, capsys) -> None:
+    from foldstab.cli import main
+
+    unsigned = '[quiver]\nvertices = [1, 2, 3]\narrows = ["a: 2 -> 1", "b: 2 -> 3"]\n'
+    unsigned += '[automorphism]\nvertex_perm = "(1 3)"\n'
+    signed = unsigned.replace("[1, 2, 3]", "[+1, 2, 3]").replace("2 -> 1", "2 -> +1")
+    assert parse_quiver(signed) == parse_quiver(unsigned)
+    outputs = []
+    for name, text in (("signed", signed), ("unsigned", unsigned)):
+        spec = tmp_path / f"{name}.toml"
+        spec.write_text(text, encoding="utf-8")
+        for fmt in ("table", "json"):
+            assert main(["fold", str(spec), "--format", fmt]) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
+    with pytest.raises(SpecParseError, match="expected an integer"):
+        parse_quiver("[quiver]\nvertices = +x\n")
+
+
 def test_vertex_perm_non_integer_token_rejected() -> None:
     with pytest.raises(InputError, match=r"vertex_perm: 'x3' is not an integer"):
         parse_quiver(

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
-from .linalg import IntMatrix, rank, unimodular_inverse, vec_mat
+from .linalg import IntMatrix, pivot_columns, unimodular_inverse, vec_mat
 from .quiver import Automorphism, ValuedQuiver
 from .ratlp import Infeasibility, Row, solve_strict_system, verify_infeasibility
 from .reps import Catalog
@@ -193,9 +193,9 @@ def verify_classification(
 
 
 def slices_equal(rows_a, rows_b) -> bool:
-    """Equality of rational row spans."""
+    """Equality of rational row spans: each has the rank of their union."""
     a, b = tuple(rows_a), tuple(rows_b)
-    return rank(a) == rank(b) == rank(a + b)
+    return len(pivot_columns(a)) == len(pivot_columns(b)) == len(pivot_columns(a + b))
 
 
 def fold_charge(vq: ValuedQuiver, charge: tuple[Complex, ...]) -> tuple[Complex, ...]:

@@ -33,10 +33,6 @@ class SpecParseError(InputError):
         self.column = column
 
 
-class AdmissibilityError(InputError):
-    """The automorphism is not admissible for folding."""
-
-
 class UnsupportedTypeError(FoldstabError):
     """The operation needs a Dynkin quiver (or a supported Coxeter type)."""
 

@@ -3,10 +3,11 @@
 Matrices are immutable tuples of row tuples.  Every elimination is one
 routine, `echelon`: fraction-free Gauss-Jordan (Bareiss 1968) on integer
 rows, which keeps each row d times its rational value, d the last pivot.
-The rank, the reduced row echelon form, kernel bases, solutions, inverses
+Pivot columns (whose count is the rank), kernel bases, solutions, inverses
 and integer left kernels are all read off it.  The routines that take
-Fraction entries (or ints) scale each row to integers first; `solve`,
-`inverse` and `rref` return Fractions, kernel bases stay integral.
+Fraction entries (or ints) scale each row to integers first; `solve` and
+`inverse` return Fractions, kernel bases stay integral.  `kernel_basis`
+takes its width, so a system with no rows has the identity as its basis.
 """
 
 from __future__ import annotations
@@ -115,31 +116,25 @@ def _int_rows(a) -> list[list[int]]:
     return [scaled_to_ints(row)[0] for row in a]
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    from fractions import Fraction
-
-    rows, pivots, d, _ = echelon(_int_rows(a))
-    return tuple(tuple(Fraction(x, d) for x in row) for row in rows), pivots
+def pivot_columns(a: Matrix) -> tuple[int, ...]:
+    """The pivot columns of the reduced row echelon form; their number is the rank."""
+    return echelon(_int_rows(a))[1]
 
 
-def rank(a: Matrix) -> int:
-    return len(echelon(_int_rows(a))[1])
-
-
-def kernel_basis(a: Matrix) -> tuple[IntVector, ...]:
-    """Integer basis of the right kernel {v : a v = 0}, one vector per free column.
+def kernel_basis(a: Matrix, ncols: int) -> tuple[IntVector, ...]:
+    """Integer basis of the right kernel {v : a v = 0} in Q^ncols, one vector per free column.
 
     Vector f is |d| times the rational kernel vector with a 1 in free column
     f and zeros in the other free columns, d the last pivot of `echelon`.
     The scale is the same positive number for every vector, so a linear
-    program over their span sees the rational basis, only rescaled.
+    program over their span sees the rational basis, only rescaled.  With
+    no rows every column is free and the basis is the identity.  Raises
+    ValueError when a row is not ncols wide.
     """
-    if not a:
-        return ()
+    if any(len(row) != ncols for row in a):
+        raise ValueError(f"a row is not {ncols} wide")
     rows, pivots, d, _ = echelon(_int_rows(a))
     s = 1 if d > 0 else -1
-    ncols = len(a[0])
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
@@ -213,4 +208,4 @@ def integer_left_kernel(a: IntMatrix) -> tuple[IntVector, ...]:
     kernel vector is not automatic; for the antisymmetrized Euler forms
     of the Dynkin quivers the tests check it against a Smith normal form.
     """
-    return tuple(sorted(normalize_int_vector(v) for v in kernel_basis(transpose(a))))
+    return tuple(sorted(normalize_int_vector(v) for v in kernel_basis(transpose(a), len(a))))

@@ -2,10 +2,12 @@
 
 A quiver is a finite directed multigraph with integer vertex ids and named
 arrows.  An automorphism pairs a vertex bijection with a compatible arrow
-bijection.  Folding an acyclic quiver along an admissible automorphism (no
-arrow inside a vertex orbit) produces a valued quiver: orbit vertices and
-orbit arrows, each carrying its orbit size.  Orbit identifiers are the least
-member (numerically for vertices, lexicographically for arrow names).
+bijection.  Folding a quiver along an automorphism produces a valued quiver:
+orbit vertices and orbit arrows, each carrying its orbit size.  Every
+automorphism of an acyclic quiver is admissible (no arrow inside a vertex
+orbit): such an arrow and its images would close a directed cycle.  Orbit
+identifiers are the least member (numerically for vertices,
+lexicographically for arrow names).
 
 Euler forms are integer matrices on the free abelian group over the
 vertices, in sorted vertex order: the hereditary form is delta_ij minus the
@@ -29,7 +31,7 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, InputError, UnsupportedTypeError, quote
+from .errors import InputError, UnsupportedTypeError, quote
 from .linalg import IntMatrix, IntVector
 
 
@@ -133,8 +135,11 @@ class Automorphism(CheckedRecord, _AutomorphismFields):
         return self.vertex_images[self.quiver.vertex_index[v]]
 
     def arrow(self, name: str) -> str:
-        idx = next(i for i, a in enumerate(self.quiver.arrows) if a.name == name)
-        return self.arrow_images[idx]
+        return self._arrow_image[name]
+
+    @cached_property
+    def _arrow_image(self) -> dict[str, str]:
+        return {a.name: img for a, img in zip(self.quiver.arrows, self.arrow_images)}
 
     def is_identity(self) -> bool:
         return self.vertex_images == self.quiver.vertices
@@ -197,18 +202,14 @@ class ValuedQuiver(NamedTuple):
 
 
 def fold(q: Quiver, s: Automorphism) -> ValuedQuiver:
-    """Fold q along an admissible automorphism.
+    """Fold q along an automorphism of q; every one is admissible.
 
-    Raises AdmissibilityError when some arrow joins two vertices of one orbit.
+    An arrow i -> F^m(i) inside a vertex orbit would have images
+    F^m(i) -> F^2m(i) -> ..., a directed closed walk, and a Quiver is acyclic.
     """
     if s.quiver is not q and s.quiver != q:
         raise InputError("automorphism belongs to a different quiver")
     orbit_of = {v: o for o in s.vertex_orbits for v in o}
-    for a in q.arrows:
-        if orbit_of[a.tail] is orbit_of[a.head]:
-            raise AdmissibilityError(
-                f"arrow {quote(a.name)} joins vertices {a.tail} and {a.head} of one orbit"
-            )
     overts = tuple(OrbitVertex(o[0], o) for o in s.vertex_orbits)
     oarrs = []
     for names in s.arrow_orbits:

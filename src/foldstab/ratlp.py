@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import InternalError
-from .linalg import bareiss_update, echelon, int_identity, kernel_basis
+from .linalg import bareiss_update, echelon, kernel_basis
 
 Row = tuple[int, ...]
 
@@ -114,7 +114,7 @@ def solve_strict_system(
     """Decide E t = 0, P t > 0 over the rationals, for integer E and P."""
     if not positives:
         return Witness((0,) * nvars)
-    null = kernel_basis(equalities) if equalities else int_identity(nvars)
+    null = kernel_basis(equalities, nvars)
     k = len(null)
     nonzero = [[(j, pj) for j, pj in enumerate(p) if pj] for p in positives]
     reduced = [[sum(pj * v[j] for j, pj in nz) for v in null] for nz in nonzero]

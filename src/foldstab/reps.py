@@ -10,11 +10,15 @@ and works on the roots alone: the roots are `quiver.positive_roots` of the
 quiver's Cartan matrix, and one integer table, the Euler form between them,
 gives every Hom and Ext^1 dimension.  The matrix code stays as an
 independent oracle, with one path per construction: the universal
-(co)extensions are `extension_module` of stacked Ext^1 cocycles, and a
-cokernel reads its basis off the pivots of one rref.  Each matrix brick is
-built with pseudo-random small integer entries and certified by an
-endomorphism check (End = k); a brick whose dimension vector is a root is
-the unique indecomposable in its class, so the certificate pins it exactly.
+(co)extensions are `extension_module` of stacked Ext^1 cocycles, a direct
+sum is `extension_module` by zero cocycles, one summand at a time, and a
+cokernel reads its basis off the pivot columns of `linalg.echelon`.  A
+tuple of matrices (a module map, one block per vertex, or a cocycle, one
+block per arrow) is one coordinate vector, laid out by `_offsets` and read
+back by `_unpack`.  Each matrix brick is built with pseudo-random small
+integer entries and certified by an endomorphism check (End = k); a brick
+whose dimension vector is a root is the unique indecomposable in its class,
+so the certificate pins it exactly.
 """
 
 from __future__ import annotations
@@ -22,12 +26,22 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import accumulate
 from math import prod
 from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalError, UnsupportedTypeError
-from .linalg import Matrix, integer_left_kernel, kernel_basis, mat_vec, rref, solve
+from .linalg import (
+    Matrix,
+    int_identity,
+    integer_left_kernel,
+    kernel_basis,
+    mat_vec,
+    pivot_columns,
+    solve,
+    transpose,
+)
 from .quiver import (
     Automorphism,
     CheckedRecord,
@@ -78,44 +92,52 @@ def zero_rep(q: Quiver) -> Representation:
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
+    """Block-diagonal sum: each summand extends the sum before it by the zero cocycle."""
     if not reps:
         raise InternalError("empty direct sum")
-    q = reps[0].quiver
-    dims = tuple(sum(r.dims[i] for r in reps) for i in range(len(q.vertices)))
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        hi = q.vertex_index[a.head]
-        ti = q.vertex_index[a.tail]
-        block = [[0] * dims[ti] for _ in range(dims[hi])]
-        ro = co = 0
-        for r in reps:
-            m = r.maps[ai]
-            for i in range(r.dims[hi]):
-                for j in range(r.dims[ti]):
-                    block[ro + i][co + j] = m[i][j]
-            ro += r.dims[hi]
-            co += r.dims[ti]
-        maps.append(tuple(tuple(row) for row in block))
-    return Representation(q, dims, tuple(maps))
+    total = reps[0]
+    for r in reps[1:]:
+        zero = tuple(_zeros(*shape) for shape in _cocycle_shapes(r, total))
+        total = extension_module(r, total, zero)
+    return total
 
 
 # A module map M -> N is one matrix per vertex commuting with the arrow maps.
 ModuleMap = tuple[Matrix, ...]
+# An Ext class is a cocycle: one matrix g_a per arrow, g_a : M_t -> N_h.
+Cocycle = tuple[Matrix, ...]
 
 
-def _var_offsets(m_dims, n_dims) -> tuple[list[int], int]:
-    offsets = []
-    total = 0
-    for md, nd in zip(m_dims, n_dims):
-        offsets.append(total)
-        total += nd * md
-    return offsets, total
-
-
-def _intertwiner_rows(m: Representation, n: Representation):
-    """Rows of the map (f_v) -> (f_h M_a - N_a f_t), one row per target entry."""
+def _cocycle_shapes(m: Representation, n: Representation) -> list[tuple[int, int]]:
+    """Shape of a cocycle from M to N on each arrow: N at the head by M at the tail."""
     q = m.quiver
-    offsets, nvars = _var_offsets(m.dims, n.dims)
+    return [(n.dims[q.vertex_index[a.head]], m.dims[q.vertex_index[a.tail]]) for a in q.arrows]
+
+
+def _offsets(shapes: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Start of each (rows, cols) block in one row-major coordinate vector, and its length."""
+    offsets = list(accumulate((rows * cols for rows, cols in shapes), initial=0))
+    return offsets[:-1], offsets[-1]
+
+
+def _unpack(vec, shapes: Sequence[tuple[int, int]]) -> tuple[Matrix, ...]:
+    """The matrices laid out in vec by `_offsets`."""
+    offsets, _ = _offsets(shapes)
+    return tuple(
+        tuple(tuple(vec[base + i * cols + j] for j in range(cols)) for i in range(rows))
+        for base, (rows, cols) in zip(offsets, shapes)
+    )
+
+
+def _intertwiner_rows(m: Representation, n: Representation) -> tuple[int, list[tuple[int, ...]]]:
+    """The map (f_v) -> (f_h M_a - N_a f_t) from map to cocycle coordinates.
+
+    Returns the number of map coordinates and one row per cocycle
+    coordinate.  A map has one N_v x M_v block per vertex, and a cocycle
+    one block per arrow, shaped by `_cocycle_shapes`.
+    """
+    q = m.quiver
+    offsets, nvars = _offsets(tuple(zip(n.dims, m.dims)))
     rows = []
     for ai, a in enumerate(q.arrows):
         hi = q.vertex_index[a.head]
@@ -129,74 +151,30 @@ def _intertwiner_rows(m: Representation, n: Representation):
                 for l in range(n.dims[ti]):
                     row[offsets[ti] + l * m.dims[ti] + j] -= na[i][l]
                 rows.append(tuple(row))
-    return offsets, nvars, rows
-
-
-def _unpack_map(vec, m: Representation, n: Representation, offsets) -> ModuleMap:
-    out = []
-    for vi in range(len(m.quiver.vertices)):
-        nd, md = n.dims[vi], m.dims[vi]
-        base = offsets[vi]
-        out.append(tuple(tuple(vec[base + i * md + j] for j in range(md)) for i in range(nd)))
-    return tuple(out)
+    return nvars, rows
 
 
 def hom_space(m: Representation, n: Representation) -> list[ModuleMap]:
     """Basis of the space of module maps M -> N."""
-    offsets, nvars, rows = _intertwiner_rows(m, n)
-    if nvars == 0:
-        return []
-    if rows:
-        basis = kernel_basis(tuple(rows))
-    else:
-        basis = [tuple(1 if i == j else 0 for j in range(nvars)) for i in range(nvars)]
-    return [_unpack_map(vec, m, n, offsets) for vec in basis]
+    nvars, rows = _intertwiner_rows(m, n)
+    return [_unpack(vec, tuple(zip(n.dims, m.dims))) for vec in kernel_basis(rows, nvars)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     return len(hom_space(m, n))
 
 
-# An Ext class is a cocycle: one matrix g_a per arrow, g_a : M_t -> N_h.
-Cocycle = tuple[Matrix, ...]
-
-
 def ext1_space(m: Representation, n: Representation) -> list[Cocycle]:
-    """Basis of Ext^1(M, N) as cocycles modulo the intertwiner image."""
-    q = m.quiver
-    offsets, nvars, rows = _intertwiner_rows(m, n)
-    tgt_offsets = []
-    tgt_total = 0
-    for ai, a in enumerate(q.arrows):
-        hi = q.vertex_index[a.head]
-        ti = q.vertex_index[a.tail]
-        tgt_offsets.append(tgt_total)
-        tgt_total += n.dims[hi] * m.dims[ti]
-    if tgt_total == 0:
-        return []
-    # rows[k] is target coordinate k as a functional of the source variables,
-    # so the matrix whose rows are `rows` has row space = image coordinates.
-    pivots: set[int] = set()
-    if rows and nvars:
-        cols = tuple(tuple(rows[k][j] for k in range(tgt_total)) for j in range(nvars))
-        _, piv = rref(cols)
-        pivots = set(piv)
-    classes = []
-    for k in range(tgt_total):
-        if k in pivots:
-            continue
-        cocycle = []
-        for ai, a in enumerate(q.arrows):
-            hi = q.vertex_index[a.head]
-            ti = q.vertex_index[a.tail]
-            nd, md = n.dims[hi], m.dims[ti]
-            g = [[0] * md for _ in range(nd)]
-            base = tgt_offsets[ai]
-            if base <= k < base + nd * md:
-                g[(k - base) // md][(k - base) % md] = 1
-            cocycle.append(tuple(tuple(r) for r in g))
-        classes.append(tuple(cocycle))
-    return classes
+    """Basis of Ext^1(M, N): the unit cocycles off the pivots of the intertwiner image.
+
+    Row k of the intertwiner rows is cocycle coordinate k as a functional
+    of the map coordinates, so the pivot columns of their transpose index a
+    basis of the image, and the other unit cocycles complete it.
+    """
+    _, rows = _intertwiner_rows(m, n)
+    image = set(pivot_columns(transpose(rows)))
+    shapes = _cocycle_shapes(m, n)
+    return [_unpack(unit, shapes) for k, unit in enumerate(int_identity(len(rows))) if k not in image]
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
@@ -211,17 +189,9 @@ def extension_module(m: Representation, n: Representation, cocycle: Cocycle) -> 
     for ai, a in enumerate(q.arrows):
         hi = q.vertex_index[a.head]
         ti = q.vertex_index[a.tail]
-        na, ma, ga = n.maps[ai], m.maps[ai], cocycle[ai]
-        block = [[0] * dims[ti] for _ in range(dims[hi])]
-        for i in range(n.dims[hi]):
-            for j in range(n.dims[ti]):
-                block[i][j] = na[i][j]
-            for j in range(m.dims[ti]):
-                block[i][n.dims[ti] + j] = ga[i][j]
-        for i in range(m.dims[hi]):
-            for j in range(m.dims[ti]):
-                block[n.dims[hi] + i][n.dims[ti] + j] = ma[i][j]
-        maps.append(tuple(tuple(r) for r in block))
+        top = _side_by_side([n.maps[ai], cocycle[ai]], n.dims[hi])
+        bottom = _side_by_side([_zeros(m.dims[hi], n.dims[ti]), m.maps[ai]], m.dims[hi])
+        maps.append(_stack([top, bottom]))
     return Representation(q, dims, tuple(maps))
 
 
@@ -276,15 +246,7 @@ def stack_hom_horizontal(s: Representation, m: Representation) -> tuple[Represen
 def kernel_module(phi: ModuleMap, m: Representation) -> Representation:
     """Kernel of a module map phi : M -> N as a subrepresentation of M."""
     q = m.quiver
-    bases = []
-    for vi in range(len(q.vertices)):
-        if m.dims[vi] == 0:
-            bases.append([])
-        elif not phi[vi]:
-            bases.append([tuple(1 if i == j else 0 for j in range(m.dims[vi]))
-                          for i in range(m.dims[vi])])
-        else:
-            bases.append(list(kernel_basis(phi[vi])))
+    bases = [kernel_basis(f, md) for f, md in zip(phi, m.dims)]
     dims = tuple(len(b) for b in bases)
     maps = []
     for ai, a in enumerate(q.arrows):
@@ -292,14 +254,14 @@ def kernel_module(phi: ModuleMap, m: Representation) -> Representation:
         ti = q.vertex_index[a.tail]
         cols = []
         if dims[ti] and dims[hi]:
-            bh = tuple(tuple(bases[hi][c][r] for c in range(dims[hi])) for r in range(m.dims[hi]))
+            bh = transpose(bases[hi])
             for x in bases[ti]:
                 y = mat_vec(m.maps[ai], x)
                 coeff = solve(bh, y)
                 if coeff is None:
                     raise InternalError("kernel is not arrow-stable")
                 cols.append(coeff)
-            maps.append(tuple(tuple(cols[j][i] for j in range(dims[ti])) for i in range(dims[hi])))
+            maps.append(transpose(cols))
         else:
             maps.append(_zeros(dims[hi], dims[ti]))
     return Representation(q, dims, tuple(maps))
@@ -308,18 +270,18 @@ def kernel_module(phi: ModuleMap, m: Representation) -> Representation:
 def cokernel_module(phi: ModuleMap, m: Representation, n: Representation) -> Representation:
     """Cokernel of a module map phi : M -> N in complement coordinates of N.
 
-    At each vertex the pivot columns of one rref of [phi_v | I] are the
-    columns that greedy left-to-right independence would pick: those of
-    phi_v are a basis of the image, and the unit columns after them complete
-    it to a basis of N_v and index the cokernel coordinates.
+    At each vertex the pivot columns of [phi_v | I] are the columns that
+    greedy left-to-right independence would pick: those of phi_v are a basis
+    of the image, and the unit columns after them complete it to a basis of
+    N_v and index the cokernel coordinates.
     """
     q = n.quiver
     comps: list[list[int]] = []
     bases: list[Matrix] = []
     for vi in range(len(q.vertices)):
         nd, md = n.dims[vi], m.dims[vi]
-        aug = tuple((*phi[vi][i], *(1 if i == j else 0 for j in range(nd))) for i in range(nd))
-        _, pivots = rref(aug)
+        aug = tuple((*row, *unit) for row, unit in zip(phi[vi], int_identity(nd)))
+        pivots = pivot_columns(aug)
         comps.append([p - md for p in pivots if p >= md])
         bases.append(tuple(tuple(row[p] for p in pivots) for row in aug))
     dims = tuple(len(c) for c in comps)

@@ -8,7 +8,7 @@ minimum count.  All randomness is seeded; everything else is exhaustive.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from foldstab.hearts import (
     Heart,
@@ -26,21 +26,60 @@ from foldstab.reps import Catalog, direct_sum, ext1_dim, hom_dim, transport
 from oracles import frobenius_on_k, pairing, twist_k_matrix
 
 
-def seeded_dynkin_spec(family: str, n: int, seed: int) -> str:
-    """Spec text of an A_n, D_n or E_n quiver, each edge oriented by a seeded coin.
+def dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
+    """Edges of the A_n, D_n or E_n diagram on 1..n.
 
-    The vertices 1..n form a path, except that vertex n hangs off n - 2 for D
-    and off 3 for E.
+    The vertices form a path, except that vertex n hangs off n - 2 for D and
+    off 3 for E.
     """
     edges = [(i, i + 1) for i in range(1, n - 1)]
     if n > 1:
         edges.append({"A": (n - 1, n), "D": (n - 2, n), "E": (3, n)}[family])
+    return edges
+
+
+def seeded_dynkin_spec(family: str, n: int, seed: int) -> str:
+    """Spec text of an A_n, D_n or E_n quiver on `dynkin_edges`, each edge
+    oriented by a seeded coin."""
     rng = random.Random(seed)
     arrows = [
         f'"a{i}: {t} -> {h}"' if rng.random() < 0.5 else f'"a{i}: {h} -> {t}"'
-        for i, (t, h) in enumerate(edges)
+        for i, (t, h) in enumerate(dynkin_edges(family, n))
     ]
     return f"[quiver]\nvertices = {list(range(1, n + 1))}\narrows = [{', '.join(arrows)}]\n"
+
+
+def _fold_types():
+    """One diagram automorphism per fold type, as vertex images on `dynkin_edges`."""
+    for n in (3, 5, 7):
+        yield f"A{n} flip", "A", n, {v: n + 1 - v for v in range(1, n + 1)}
+    for n in range(4, 9):
+        yield f"D{n} swap", "D", n, {**{v: v for v in range(1, n - 1)}, n - 1: n, n: n - 1}
+    yield "D4 triality", "D", 4, {1: 3, 2: 2, 3: 4, 4: 1}
+    yield "E6 flip", "E", 6, {1: 5, 2: 4, 3: 3, 4: 2, 5: 1, 6: 6}
+
+
+def fold_census():
+    """Every orientation Q of A3, A5, A7, D4-D8 and E6 that a fold's F fixes.
+
+    Yields (fold name, Q, F), 148 pairs in all: 14 of type A, 6 of D4,
+    8, 16, 32 and 64 of D5-D8, and 8 of E6.
+    """
+    for name, family, n, sigma in _fold_types():
+        edges = dynkin_edges(family, n)
+        for flips in product((False, True), repeat=len(edges)):
+            arrows = {
+                (h, t) if flip else (t, h): f"a{i}" for i, ((t, h), flip) in enumerate(zip(edges, flips))
+            }
+            images = [(sigma[t], sigma[h]) for t, h in arrows]
+            if all(img in arrows for img in images):
+                q = Quiver.make(range(1, n + 1), ((a, t, h) for (t, h), a in arrows.items()))
+                s = Automorphism(
+                    q,
+                    tuple(sigma[v] for v in q.vertices),
+                    tuple(arrows[(sigma[a.tail], sigma[a.head])] for a in q.arrows),
+                )
+                yield name, q, s
 
 
 def run_tilt_round_trips(catalogs: list[Catalog]) -> int:

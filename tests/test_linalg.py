@@ -15,8 +15,7 @@ from foldstab.linalg import (
     mat_mul,
     mat_vec,
     normalize_int_vector,
-    rank,
-    rref,
+    pivot_columns,
     scaled_to_ints,
     solve,
     transpose,
@@ -53,24 +52,32 @@ def _int_det(m):
     return total
 
 
-def test_rref_pivots_and_shape() -> None:
-    r, pivots = rref(mat([[0, 2, 4], [1, 1, 1]]))
-    assert pivots == (0, 1)
-    assert r[0] == (Fraction(1), Fraction(0), Fraction(-1))
-    assert r[1] == (Fraction(0), Fraction(1), Fraction(2))
+def test_pivot_columns() -> None:
+    assert pivot_columns(mat([[0, 2, 4], [1, 1, 1]])) == (0, 1)
+    assert pivot_columns(((0, 0, 3), (0, 1, 1), (0, 2, 2))) == (1, 2)
+    assert pivot_columns(((0, 0),)) == ()
 
 
-def test_rank_and_kernel() -> None:
+def test_pivot_count_and_kernel() -> None:
     m = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert rank(m) == 2
-    basis = kernel_basis(m)
+    assert len(pivot_columns(m)) == 2
+    basis = kernel_basis(m, 3)
     assert len(basis) == 1
     for row in m:
         assert sum(c * x for c, x in zip(row, basis[0])) == 0
 
 
 def test_kernel_of_full_rank_matrix_is_empty() -> None:
-    assert kernel_basis(mat([[1, 0], [0, 1]])) == ()
+    assert kernel_basis(mat([[1, 0], [0, 1]]), 2) == ()
+
+
+def test_kernel_basis_takes_its_width() -> None:
+    assert kernel_basis((), 3) == int_identity(3)
+    assert kernel_basis((), 0) == ()
+    assert kernel_basis(((), ()), 0) == ()
+    for a, ncols in ((((1, 2),), 3), (((1, 2), (1,)), 2), (((),), 1), (((0,),), 0)):
+        with pytest.raises(ValueError, match=f"^a row is not {ncols} wide$"):
+            kernel_basis(a, ncols)
 
 
 def test_solve_and_inverse_round_trip() -> None:
@@ -125,11 +132,10 @@ def test_echelon_routines_match_the_fraction_reference() -> None:
         assert all(rows[i][p] == d for i, p in enumerate(pivots))
         if nrows == ncols:
             assert (sign * d if len(pivots) == nrows else 0) == fraction_det(ints)
-        assert rref(a) == (ref, ref_pivots)
-        assert rank(a) == len(ref_pivots)
+        assert pivot_columns(a) == ref_pivots
 
         free = [c for c in range(ncols) if c not in ref_pivots]
-        basis = kernel_basis(a)
+        basis = kernel_basis(a, ncols)
         assert len(basis) == len(free)
         for f, v in zip(free, basis):
             assert all(type(x) is int for x in v)
@@ -161,7 +167,7 @@ def test_echelon_routines_match_the_fraction_reference() -> None:
 
 def test_echelon_of_no_rows() -> None:
     assert echelon([]) == ([], (), 1, 1)
-    assert rank(()) == 0 and kernel_basis(()) == () and integer_left_kernel(()) == ()
+    assert pivot_columns(()) == () and integer_left_kernel(()) == ()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldstab.errors import InputError, UnsupportedTypeError
 from foldstab.linalg import integer_left_kernel
@@ -29,6 +30,7 @@ from foldstab.quiver import (
 )
 from foldstab.specfile import parse_quiver
 from oracles import frobenius_on_k, pairing
+from properties import dynkin_edges
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -181,13 +183,6 @@ def test_fold_names_disconnected_order4_cover(n, arrows, vertex_perm, name) -> N
     assert valued_type_name(fold(q, s)) == name
 
 
-def _dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
-    if family == "E":
-        return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
-    path = [(i, i + 1) for i in range(1, n - 1)]
-    return path + [(n - 1, n) if family == "A" else (n - 2, n)]
-
-
 def _expected_fold(family: str, n: int, order: int) -> str:
     """ADE under the identity; A_{2k-1} -> C_k (C2 is named B2), D_{k+1} -> B_k,
     D4 by a 3-cycle -> G2, E6 -> F4."""
@@ -209,7 +204,7 @@ def _expected_fold(family: str, n: int, order: int) -> str:
 )
 def test_every_dynkin_fold_is_named(family, n, folds) -> None:
     """Every orientation under the identity and each invariant diagram automorphism."""
-    edges = _dynkin_edges(family, n)
+    edges = dynkin_edges(family, n)
     graph = {frozenset(e) for e in edges}
     vertices = tuple(range(1, n + 1))
     autos = [
@@ -241,6 +236,42 @@ def test_fold_rejects_foreign_automorphism(q_a3: Quiver, q_d4: Quiver, rot_d4) -
 def test_admissibility_of_fixtures(flip_a3, flip_a5, rot_d4, swap_d4) -> None:
     for s in (flip_a3, flip_a5, rot_d4, swap_d4):
         assert fold(s.quiver, s).source == s.quiver
+
+
+@st.composite
+def simple_acyclic_quivers(draw) -> Quiver:
+    """At most one arrow per pair of vertices, each running forward in a drawn order."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = list(itertools.combinations(order, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Quiver.make(order, ((f"a{i}", t, h) for i, (t, h) in enumerate(pairs) if keep[i]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(q=simple_acyclic_quivers())
+def test_every_automorphism_of_an_acyclic_quiver_is_admissible(q: Quiver) -> None:
+    """An arrow inside a vertex orbit would close a directed cycle under F's powers."""
+    name_of = {(a.tail, a.head): a.name for a in q.arrows}
+    for images in itertools.permutations(q.vertices):
+        sigma = dict(zip(q.vertices, images))
+        moved = [(sigma[a.tail], sigma[a.head]) for a in q.arrows]
+        if not all(m in name_of for m in moved):
+            continue
+        s = Automorphism(q, images, tuple(name_of[m] for m in moved))
+        orbit_of = {v: o for o in s.vertex_orbits for v in o}
+        assert all(orbit_of[a.tail] != orbit_of[a.head] for a in q.arrows)
+        vq = fold(q, s)
+        assert sum(o.size for o in vq.arrows) == len(q.arrows)
+
+
+def test_automorphism_lookups_raise_key_error(flip_a3: Automorphism) -> None:
+    assert [flip_a3.arrow(a.name) for a in flip_a3.quiver.arrows] == ["b", "a"]
+    assert [flip_a3.vertex(v) for v in flip_a3.quiver.vertices] == [3, 2, 1]
+    with pytest.raises(KeyError):
+        flip_a3.arrow("zz")
+    with pytest.raises(KeyError):
+        flip_a3.vertex(9)
 
 
 def test_dynkin_type_recognition(q_a2, q_a3, q_a5, q_d4, q_d5) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from foldstab.errors import InternalError, UnsupportedTypeError
@@ -173,6 +175,24 @@ def test_identify_direct_sums(cat_a3) -> None:
     assert cat_a3.identify(zero_rep(cat_a3.quiver)) == ()
 
 
+def test_direct_sum_is_block_diagonal(cat_a3, cat_d4) -> None:
+    for cat in (cat_a3, cat_d4):
+        q = cat.quiver
+        for picks in ((0, 1, 2), (2, 0, 2), (len(cat) - 1, 3, 1)):
+            parts = [cat.reps[i] for i in picks]
+            total = direct_sum(parts)
+            assert total.dims == tuple(map(sum, zip(*(r.dims for r in parts))))
+            for ai, a in enumerate(q.arrows):
+                hi, ti = q.vertex_index[a.head], q.vertex_index[a.tail]
+                rows, cols, width = [], 0, total.dims[ti]
+                for r in parts:
+                    for row in r.maps[ai]:
+                        rows.append((0,) * cols + row + (0,) * (width - cols - len(row)))
+                    cols += r.dims[ti]
+                assert total.maps[ai] == tuple(rows)
+                assert len(rows) == total.dims[hi]
+
+
 @pytest.mark.parametrize("name", ["cat_a3", "cat_d4", "cat_a5", "cat_d5"])
 def test_hom_order_is_topological(name, request) -> None:
     cat = request.getfixturevalue(name)
@@ -234,3 +254,36 @@ def test_euler_pairing_against_tables(cat_a3) -> None:
             expected = cat_a3.euler[i][j]
             assert pairing(chi, cat_a3.reps[i].dims, cat_a3.reps[j].dims) == expected
 
+
+# sha256 of every matrix construction of the module oracle on the 805 ordered
+# brick pairs of seeded A3, D4, A5 and D5 (seed 1), taken before `rref` and
+# `rank` left `linalg` and `direct_sum` became an extension by zero cocycles.
+ORACLE_DIGEST = "768689c796c66661226c02f4063f00e044050f6e397ca5030008d4386b18391b"
+
+
+def _module_oracle_digest() -> tuple[int, str]:
+    h = hashlib.sha256()
+    pairs = 0
+
+    def put(*reps_or_maps) -> None:
+        for x in reps_or_maps:
+            h.update(repr((x.dims, x.maps) if isinstance(x, Representation) else x).encode())
+
+    for family, n in (("A", 3), ("D", 4), ("A", 5), ("D", 5)):
+        q, _ = parse_quiver(seeded_dynkin_spec(family, n, 1))
+        bricks = Catalog(q).reps
+        for m in bricks:
+            for s in bricks:
+                pairs += 1
+                put(universal_extension(m, s), universal_coextension(m, s), direct_sum([m, s]))
+                put(tuple(hom_space(m, s)), tuple(ext1_space(m, s)))
+                target, phi = stack_hom_vertical(m, s)
+                source, psi = stack_hom_horizontal(s, m)
+                put(target, phi, source, psi)
+                put(kernel_module(phi, m), cokernel_module(phi, m, target))
+                put(kernel_module(psi, source), cokernel_module(psi, source, m))
+    return pairs, h.hexdigest()
+
+
+def test_module_oracle_is_pinned_byte_for_byte() -> None:
+    assert _module_oracle_digest() == (805, ORACLE_DIGEST)

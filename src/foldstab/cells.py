@@ -19,44 +19,66 @@ system solvable on Q stays solvable on every subset of Q, so the cell is
 nonempty iff the real system on ~S is solvable.  When it is not, the chain
 itself is the proof: its imaginary certificates and the real one on ~S, at
 most n + 1 in all, rule out every one of the 2^n branches together.
+
+A heart's rows are the vertex functionals r rewritten on its simples: the X
+with X K = r, K the heart's K-matrix, from one unimodular solve and no
+inverse.  Hearts share much of this work.  Each LP sees only ker C, up to a
+positive scale, and its branch; so a `CellCache`, made for one graph and
+dropped with it, keeps each LP outcome under (n, the primitive kernel of C,
+branch, pinned set) and each classification under its rows.  Every heart
+still settles each outcome against its own rows: its witness is checked,
+and its certificates are built from its own equalities and verified.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
-from .linalg import IntMatrix, pivot_columns, unimodular_inverse, vec_mat
+from .linalg import IntMatrix, int_identity, kernel_basis, pivot_columns, transpose, unimodular_solve
 from .quiver import Automorphism, ValuedQuiver
-from .ratlp import Infeasibility, Row, solve_strict_system, verify_infeasibility
+from .ratlp import Infeasibility, Row, Witness, settle, solve_strict_system, verify_infeasibility
 from .reps import Catalog
 
 Complex = tuple[int, int]
 
 
-@lru_cache(maxsize=1)
-def heart_basis_inverse(catalog: Catalog, heart: Heart) -> IntMatrix:
-    """Inverse of the heart's K-matrix, whose rows are the simples' classes.
+def _solve_on_heart(catalog: Catalog, heart: Heart, rows, transposed: bool = False) -> IntMatrix:
+    """The integer X with X K = rows, or X K^T = rows if transposed.
 
-    The simples of a heart form a basis of K(D), so the matrix is unimodular
-    and its inverse is integral; any other determinant is an internal error.
-    The last inverse is kept: a caller that maps a witness back to vertices
-    right after `numerical_constraints` on the same heart does not redo it.
+    K is the heart's K-matrix, whose rows are the simples' classes.  The
+    simples of a heart form a basis of K(D), so K is unimodular and X is
+    integral; any other determinant is an internal error.
     """
+    k = heart_k_matrix(catalog, heart)
     try:
-        return unimodular_inverse(heart_k_matrix(catalog, heart))
+        return unimodular_solve(transpose(k) if transposed else k, tuple(rows))
     except ValueError as exc:
         raise InternalError(
             f"K-matrix of heart {heart_label(catalog, heart)} is not unimodular: {exc}"
         ) from None
 
 
+def heart_basis_inverse(catalog: Catalog, heart: Heart) -> IntMatrix:
+    """Inverse of the heart's K-matrix, whose rows are the simples' classes."""
+    return _solve_on_heart(catalog, heart, int_identity(len(heart.simples)))
+
+
 def vertex_functionals_to_heart(catalog: Catalog, heart: Heart, rows) -> tuple[Row, ...]:
-    """Rewrite functionals on vertex charges as functionals on simple charges."""
-    binv = heart_basis_inverse(catalog, heart)
-    return tuple(vec_mat(row, binv) for row in rows)
+    """Rewrite functionals on vertex charges as functionals on simple charges.
+
+    A functional r on vertex charges is r K^-1 on simple charges: the X
+    with X K = r, one solve for all rows, and no inverse.
+    """
+    return _solve_on_heart(catalog, heart, rows)
+
+
+def vertex_charge(catalog: Catalog, heart: Heart, charge: tuple[Complex, ...]) -> tuple[Complex, ...]:
+    """The vertex charges z of a charge on the heart's simples: K z = charge."""
+    xs, ys = _solve_on_heart(catalog, heart, zip(*charge), transposed=True)
+    return tuple(zip(xs, ys))
 
 
 def numerical_constraints(catalog: Catalog, heart: Heart) -> tuple[Row, ...]:
@@ -117,7 +139,45 @@ def _pinned_after(step: BranchCertificate, n: int) -> tuple[int, ...]:
     return tuple(sorted({j for j, v in zip(free, lam) if v > 0}.union(step.real_axis)))
 
 
-def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
+class CellCache:
+    """What the cells of one graph share; `classify_cell` fills it.
+
+    Make one per graph and drop it with the graph.  It keeps each whole
+    classification under (rows, n), and each LP outcome (`ratlp.run_lp`)
+    under (n, kernel, axis, pinned).  The kernel is the primitive basis of
+    ker C: `kernel_basis` returns a positive multiple of the rational basis
+    that the row space alone fixes, and the outcome does not change under
+    that scale.  The LP's equalities are C and the pinned unit rows, so
+    hearts whose rows differ but span the same space share every outcome,
+    and each heart settles it against its own rows (`ratlp.settle`).
+    """
+
+    def __init__(self) -> None:
+        self.cells: dict[tuple[tuple[Row, ...], int], CellClassification] = {}
+        self.outcomes: dict[tuple, Witness | Row] = {}
+
+    def solver(self, constraints: tuple[Row, ...], n: int):
+        """The solve of `_chain` for these rows: an outcome is looked up, or found and kept."""
+        null = kernel_basis(constraints, n)
+        g = gcd(*(x for v in null for x in v)) or 1
+        kernel = tuple(tuple(x // g for x in v) for v in null)
+
+        def solve(axis: str, pinned: tuple[int, ...], eqs, pos):
+            key = (n, kernel, axis, pinned)
+            outcome = self.outcomes.get(key)
+            if outcome is not None:
+                return settle(outcome, eqs, pos)
+            # ker C is the kernel of the real system and of the first imaginary one.
+            res = solve_strict_system(eqs, pos, n, None if axis == "im" and pinned else null)
+            self.outcomes[key] = res if isinstance(res, Witness) else res.positive_multipliers
+            return res
+
+        return solve
+
+
+def classify_cell(
+    constraints: tuple[Row, ...], n: int, cache: CellCache | None = None
+) -> CellClassification:
     """Decide whether the constrained cell meets H^n, with proof either way.
 
     The chain starts with nothing pinned.  While the imaginary system is
@@ -129,18 +189,35 @@ def classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
     empty cell's certificates are the chain: one "im" certificate per
     infeasible step, in order, then the "re" certificate on ~S.  Each step
     pins at least one new coordinate, so there are at most n + 1.
+
+    With a cache (`CellCache`), rows classified before get the same
+    classification back, and an LP solved before for the same kernel is
+    only settled against these rows.  The answer is the same either way.
     """
     if not constraints:
         return CellClassification(True, ((0, 1),) * n, None)
+    if cache is None:
+        def solve(axis, pinned, eqs, pos):
+            return solve_strict_system(eqs, pos, n)
+
+        return _chain(constraints, n, solve)
+    key = (constraints, n)
+    if key not in cache.cells:
+        cache.cells[key] = _chain(constraints, n, cache.solver(constraints, n))
+    return cache.cells[key]
+
+
+def _chain(constraints: tuple[Row, ...], n: int, solve) -> CellClassification:
+    """`classify_cell`'s chain, with solve(axis, pinned, equalities, positives) for each LP."""
     pinned: tuple[int, ...] = ()
     chain = []
     while True:
-        y_res = solve_strict_system(*_im_system(constraints, pinned, n), n)
+        y_res = solve("im", pinned, *_im_system(constraints, pinned, n))
         if not isinstance(y_res, Infeasibility):
             break
         chain.append(BranchCertificate(pinned, "im", y_res))
         pinned = _pinned_after(chain[-1], n)
-    x_res = solve_strict_system(*_re_system(constraints, pinned, n), n)
+    x_res = solve("re", pinned, *_re_system(constraints, pinned, n))
     if not isinstance(x_res, Infeasibility):
         return CellClassification(True, tuple(zip(x_res.point, y_res.point)), None)
     chain.append(BranchCertificate(pinned, "re", x_res))

@@ -30,10 +30,11 @@ from typing import NamedTuple, NoReturn
 
 from .braid import CoxeterSystem, normal_form, parse_word, render_nf, verify_folded_relations
 from .cells import (
+    CellCache,
     classify_cell,
     fold_charge,
-    heart_basis_inverse,
     numerical_constraints,
+    vertex_charge,
     verify_classification,
 )
 from .errors import InputError, InternalError, UnsupportedTypeError, quote
@@ -45,7 +46,6 @@ from .hearts import (
     is_f_stable,
     simple_label,
 )
-from .linalg import mat_vec
 from .quiver import Automorphism, Quiver, ValuedQuiver, dynkin_type, fold, valued_type_name
 from .reps import Catalog
 from .specfile import parse_quiver
@@ -211,12 +211,13 @@ def _eg_table(p: dict) -> str:
 
 def _classify_payload(a: Analysis, folded: bool, check: str | None) -> dict:
     catalog, perm, graph, vq = a.catalog, a.perm, a.interval_eg, a.folded
+    cache = CellCache()
     rows = []
     for i, h in enumerate(graph.hearts):
         n = len(h.simples)
         label = heart_label(catalog, h)
         constraints = numerical_constraints(catalog, h)
-        cls = classify_cell(constraints, n)
+        cls = classify_cell(constraints, n, cache)
         if not verify_classification(constraints, cls, n):
             raise InternalError(f"classify: cell of heart {label} failed its audit")
         row = {
@@ -228,11 +229,7 @@ def _classify_payload(a: Analysis, folded: bool, check: str | None) -> dict:
         if cls.feasible:
             row["witness"] = [[str(x), str(y)] for x, y in cls.witness]
             if folded:
-                binv = heart_basis_inverse(catalog, h)
-                xs = mat_vec(binv, tuple(z[0] for z in cls.witness))
-                ys = mat_vec(binv, tuple(z[1] for z in cls.witness))
-                charge = tuple(zip(xs, ys))
-                folded_charge = fold_charge(vq, charge)
+                folded_charge = fold_charge(vq, vertex_charge(catalog, h, cls.witness))
                 row["folded_charge"] = [
                     {"orbit": ov.name, "charge": [str(z[0]), str(z[1])]}
                     for ov, z in zip(vq.vertices, folded_charge)

@@ -175,9 +175,20 @@ def f_orbits_of_heart(perm: tuple[int, ...], heart: Heart) -> tuple[tuple[int, .
     return cycles(range(len(image)), image.__getitem__)
 
 
-def orbit_tilt(catalog: Catalog, perm: tuple[int, ...], heart: Heart, orbit: tuple[int, ...]) -> Heart:
-    """Forward tilt at a full transport orbit: one simple tilt of the folded heart."""
-    if orbit not in f_orbits_of_heart(perm, heart):
+def orbit_tilt(
+    catalog: Catalog,
+    perm: tuple[int, ...],
+    heart: Heart,
+    orbit: tuple[int, ...],
+    orbits: tuple[tuple[int, ...], ...] | None = None,
+) -> Heart:
+    """Forward tilt at a full transport orbit: one simple tilt of the folded heart.
+
+    orbits, if given, are the heart's transport orbits (`f_orbits_of_heart`),
+    which a caller that has just read them passes so that F is not read
+    again; orbit must be one of them either way.
+    """
+    if orbit not in (f_orbits_of_heart(perm, heart) if orbits is None else orbits):
         raise InputError("not a transport orbit of this heart")
     chosen = [heart.simples[p] for p in orbit]
     if any(catalog.euler[x][y] for x, _ in chosen for y, _ in chosen if x != y):
@@ -191,15 +202,20 @@ def orbit_tilt(catalog: Catalog, perm: tuple[int, ...], heart: Heart, orbit: tup
 
 
 def build_folded_eg(catalog: Catalog, perm: tuple[int, ...]) -> ExchangeGraph:
-    """Exchange graph of stable hearts under orbit tilts at shift-0 orbits."""
-    seed = seed_heart(catalog)
-    if not is_f_stable(perm, seed):
-        raise InternalError("seed heart is not stable")
+    """Exchange graph of stable hearts under orbit tilts at shift-0 orbits.
+
+    F's position map is read once per heart, for its orbits, and once per
+    edge, by `orbit_tilt`'s stability check of the tilted heart.
+    """
 
     def moves(heart: Heart):
-        for orbit in f_orbits_of_heart(perm, heart):
+        try:
+            orbits = f_orbits_of_heart(perm, heart)
+        except InputError:
+            # Only the seed can fail here: orbit_tilt checked every other heart.
+            raise InternalError("seed heart is not stable") from None
+        for orbit in orbits:
             if all(heart.simples[p][1] == 0 for p in orbit):
-                yield orbit, orbit_tilt(catalog, perm, heart, orbit)
+                yield orbit, orbit_tilt(catalog, perm, heart, orbit, orbits)
 
-    return ExchangeGraph(*_walk(seed, moves))
-
+    return ExchangeGraph(*_walk(seed_heart(catalog), moves))

@@ -3,11 +3,12 @@
 Matrices are immutable tuples of row tuples.  Every elimination is one
 routine, `echelon`: fraction-free Gauss-Jordan (Bareiss 1968) on integer
 rows, which keeps each row d times its rational value, d the last pivot.
-Pivot columns (whose count is the rank), kernel bases, solutions, inverses
-and integer left kernels are all read off it.  The routines that take
-Fraction entries (or ints) scale each row to integers first; `solve` and
-`inverse` return Fractions, kernel bases stay integral.  `kernel_basis`
-takes its width, so a system with no rows has the identity as its basis.
+Pivot columns (whose count is the rank), kernel bases, solutions, inverses,
+unimodular solves and integer left kernels are all read off it.  The
+routines that take Fraction entries (or ints) scale each row to integers
+first; `solve` and `inverse` return Fractions, kernel bases stay
+integral.  `kernel_basis` takes its width, so a system with no rows has the
+identity as its basis.
 """
 
 from __future__ import annotations
@@ -65,20 +66,26 @@ def scaled_to_ints(row) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in row], s
 
 
-def bareiss_update(row: list[int], prow: list[int], col: int, d: int) -> list[int]:
-    """A row after a fraction-free pivot on prow[col] (Bareiss 1968).
+def bareiss_pivot(rows: list[list[int]], r: int, col: int, d: int) -> None:
+    """Pivot on rows[r][col] in place, fraction-free (Bareiss 1968).
 
-    With p = prow[col] and d the previous pivot, row y becomes
-    (p y - y[col] prow) // d.  The division is exact when every entry is d
-    times its rational value, which the update keeps, with p as the new d.
+    With p = rows[r][col] and d the previous pivot, every other row y
+    becomes (p y - y[col] rows[r]) // d.  The division is exact when every
+    entry is d times its rational value, which the pivot keeps, with p as
+    the new d.  A row with a zero in column col is only rescaled by p / d.
     """
+    prow = rows[r]
     p = prow[col]
-    f = row[col]
-    if f == 0:
-        return row if p == d else [p * x // d for x in row]
-    if d == 1:
-        return [p * x - f * y for x, y in zip(row, prow)]
-    return [(p * x - f * y) // d for x, y in zip(row, prow)]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i == r or (f == 0 and p == d):
+            continue
+        if f == 0:
+            rows[i] = [p * x // d for x in row]
+        elif d == 1:
+            rows[i] = [p * x - f * y for x, y in zip(row, prow)]
+        else:
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
 
 
 def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int, int]:
@@ -104,9 +111,8 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, 
         if k != r:
             out[r], out[k] = out[k], out[r]
             sign = -sign
-        prow = out[r]
-        out = [row if i == r else bareiss_update(row, prow, c, d) for i, row in enumerate(out)]
-        d = prow[c]
+        bareiss_pivot(out, r, c, d)
+        d = out[r][c]
         pivots.append(c)
     return out, tuple(pivots), d, sign
 
@@ -171,20 +177,27 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix of determinant +-1, in integers.
+def unimodular_solve(b: IntMatrix, k: IntMatrix) -> IntMatrix:
+    """The integer X with X b = k, for an integer b of determinant +-1.
 
-    `echelon` on [a | I] ends with the left block d I and the right block
-    d a^-1, where sign * d = det(a).  Raises ValueError when the
-    determinant is not +-1.
+    `echelon` on [b^T | k^T] ends with the left block d I and the right
+    block d X^T, where sign * d = det(b).  One row of k costs one column,
+    so a few rows cost far less than the inverse.  Raises ValueError when
+    the determinant is not +-1.
     """
-    n = len(a)
-    rows, pivots, d, sign = echelon([(*row, *unit) for row, unit in zip(a, int_identity(n))])
-    if pivots != tuple(range(n)):
+    n = len(b)
+    k_cols = list(zip(*k)) if k else [()] * n
+    rows, pivots, d, sign = echelon([(*col, *kc) for col, kc in zip(zip(*b), k_cols)])
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     if d not in (1, -1):
         raise ValueError(f"determinant {sign * d} is not +-1")
-    return tuple(tuple(d * x for x in row[n:]) for row in rows)
+    return tuple(tuple(d * row[n + j] for row in rows) for j in range(len(k)))
+
+
+def unimodular_inverse(a: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix of determinant +-1: X a = I, in integers."""
+    return unimodular_solve(a, int_identity(len(a)))
 
 
 def normalize_int_vector(v: Sequence[int]) -> IntVector:

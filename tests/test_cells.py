@@ -10,6 +10,7 @@ import pytest
 
 from foldstab import cells
 from foldstab.cells import (
+    CellCache,
     CellClassification,
     _im_system,
     _re_system,
@@ -39,6 +40,7 @@ from foldstab.ratlp import solve_strict_system, verify_infeasibility
 from foldstab.reps import Catalog
 from foldstab.specfile import parse_quiver
 from oracles import branch_classify_cell, expand_chain_proof
+from properties import seeded_dynkin_spec
 
 F = Fraction
 
@@ -384,3 +386,60 @@ def test_lp_path_imports_nothing_from_fractions(module) -> None:
     imported = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
     imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
     assert imported and "fractions" not in imported
+
+
+# ---------------------------------------------------------------- the per-graph cache
+
+# The seeded quivers of tests/test_stdout_digests.py: (family, rank, orientation seed).
+SEEDED = {"A7": ("A", 7, 7), "D5": ("D", 5, 5)}
+
+
+def _graph(name: str):
+    if name in SEEDED:
+        q, s = parse_quiver(seeded_dynkin_spec(*SEEDED[name]))
+        catalog = Catalog(q)
+        return catalog, s or Automorphism.identity(q), build_interval_eg(catalog).hearts
+    return _fixture(name)
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(SEEDED))
+def test_cache_changes_no_classification(name) -> None:
+    """One cache for the whole graph, shared by both constraint families:
+    every heart's classification, witnesses and certificates included, is
+    the one `classify_cell` makes with no cache."""
+    catalog, s, hearts = _graph(name)
+    cache = CellCache()
+    for heart in hearts:
+        n = len(heart.simples)
+        for rows in (numerical_constraints(catalog, heart), f_constraints(catalog, s, heart)):
+            assert classify_cell(rows, n, cache) == classify_cell(rows, n), heart
+
+
+@pytest.mark.parametrize("name", ("d4_swap", "a5_flip"))
+def test_cache_solves_each_lp_once(name, monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_strict_system(*args)
+
+    monkeypatch.setattr(cells, "solve_strict_system", counted)
+    cells_of_graph = list(_cells(name, "numerical"))
+    cache = CellCache()
+    for rows, n in cells_of_graph:
+        classify_cell(rows, n, cache)
+    cached = len(calls)
+    assert cached == len(cache.outcomes)
+    assert len(cache.cells) == len({cell for cell in cells_of_graph if cell[0]})
+    calls.clear()
+    for rows, n in cells_of_graph:
+        classify_cell(rows, n)
+    assert cached < len(calls) / 2
+
+
+def test_cache_keys_include_n() -> None:
+    """Full-rank rows have an empty kernel whatever n is; the LPs differ."""
+    cache = CellCache()
+    for n in (1, 2, 3):
+        rows = int_identity(n)
+        assert classify_cell(rows, n, cache) == classify_cell(rows, n)

@@ -696,3 +696,20 @@ def test_repeat_runs_byte_identical(child_env) -> None:
     )
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_one_process_classifies_each_graph_afresh(capsys, child_env) -> None:
+    """A5 then A1 in one process print what fresh processes print: nothing
+    that one graph's classification keeps reaches the next graph."""
+    runs = [(spec, command) for spec in (A5, A1) for command in (("classify",), ("report", "--format", "table"))]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "foldstab", command[0], spec, *command[1:]],
+            capture_output=True, text=True, env=child_env(os.environ), check=True,
+        ).stdout
+        for spec, command in runs
+    ]
+    for (spec, command), expected in zip(runs, fresh):
+        code, out, _ = run_cli(capsys, command[0], spec, *command[1:])
+        assert code == 0
+        assert out == expected, (spec, command)

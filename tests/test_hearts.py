@@ -371,3 +371,29 @@ def test_f_stability_and_orbits_match_the_transported_heart(spec) -> None:
             else:
                 with pytest.raises(InputError, match="not stable"):
                     f_orbits_of_heart(perm, h)
+
+
+def test_folded_walk_reads_f_once_per_heart_and_edge(monkeypatch) -> None:
+    q, s = parse_quiver((SPECS / "e6_fold.toml").read_text(encoding="utf-8"))
+    catalog = Catalog(q)
+    perm = catalog.transport_index(s)
+    reads, tilts = [], []
+    positions, tilt = hearts._transport_positions, hearts.orbit_tilt
+    monkeypatch.setattr(hearts, "_transport_positions", lambda *a: reads.append(a) or positions(*a))
+    monkeypatch.setattr(hearts, "orbit_tilt", lambda *a: tilts.append(a) or tilt(*a))
+    graph = build_folded_eg(catalog, perm)
+    assert (len(graph.hearts), len(graph.edges)) == (105, 210)
+    assert len(tilts) == len(graph.edges)
+    assert len(reads) <= len(graph.hearts) + len(graph.edges)
+
+
+def test_orbit_tilt_checks_the_orbit_it_is_given(cat_a3, flip_a3) -> None:
+    perm = cat_a3.transport_index(flip_a3)
+    seed = seed_heart(cat_a3)
+    orbits = f_orbits_of_heart(perm, seed)
+    for orbit in orbits:
+        assert orbit_tilt(cat_a3, perm, seed, orbit, orbits) == orbit_tilt(cat_a3, perm, seed, orbit)
+    with pytest.raises(InputError, match="not a transport orbit"):
+        orbit_tilt(cat_a3, perm, seed, (0,), orbits)
+    with pytest.raises(InputError, match="not a transport orbit"):
+        orbit_tilt(cat_a3, perm, seed, (0,))

@@ -20,6 +20,7 @@ from foldstab.linalg import (
     solve,
     transpose,
     unimodular_inverse,
+    unimodular_solve,
     vec_mat,
 )
 from foldstab.quiver import euler_form_cy3
@@ -259,3 +260,44 @@ def test_unimodular_inverse_needs_a_leading_row_swap() -> None:
 def test_unimodular_inverse_rejects_other_determinants(a, message) -> None:
     with pytest.raises(ValueError, match=message):
         unimodular_inverse(a)
+
+
+def test_unimodular_solve_matches_inverse_rows() -> None:
+    """X b = k from one solve equals k times the Fraction inverse, row by row."""
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        b = [list(row) for row in int_identity(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                q = rng.randint(-2, 2)
+                b[i] = [x + q * y for x, y in zip(b[i], b[j])]
+            if rng.random() < 0.3:
+                b[i] = [-x for x in b[i]]
+        rng.shuffle(b)
+        b = tuple(tuple(row) for row in b)
+        assert abs(_int_det(b)) == 1
+        k = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 3)))
+        x = unimodular_solve(b, k)
+        assert all(type(v) is int for row in x for v in row)
+        assert x == tuple(vec_mat(row, inverse(b)) for row in k)
+
+
+@pytest.mark.parametrize(
+    "b,message",
+    [
+        (((1, 2), (2, 4)), "matrix is singular"),
+        (((0, 0), (0, 1)), "matrix is singular"),
+        (((2, 0), (0, 1)), "determinant 2 is not +-1"),
+        (((1, 1, 0), (1, -1, 0), (0, 0, 1)), "determinant -2 is not +-1"),
+    ],
+)
+def test_unimodular_solve_raises_the_inverse_errors(b, message) -> None:
+    for k in ((), (tuple(range(1, len(b) + 1)),)):
+        with pytest.raises(ValueError) as info:
+            unimodular_solve(b, k)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        unimodular_inverse(b)
+    assert str(info.value) == message

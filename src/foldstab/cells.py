@@ -4,30 +4,27 @@ A central charge assigns each simple of a heart a complex number in the
 closed-upper-half-plane region H = {Im z > 0} union {Im z = 0, Re z > 0}.
 A cell is cut out of H^n by linear constraints C (numerical ones from the
 kernel of the pairing form, or stability ones from a quiver automorphism).
-The heart's basis change is unimodular, so C is an integer matrix.  A
-charge lies on the real axis at the pinned coordinates Q and above it
-elsewhere, so each Q is a branch with two strict integer systems: the
-imaginary parts (C y = 0, y_Q = 0, y > 0 off Q) and the real parts
-(C x = 0, x > 0 on Q).  Witnesses are therefore integer charges.
+The heart's basis change is unimodular, so C is an integer matrix.
 
-The imaginary system is solvable only when the complement of Q is the
-support of a nonnegative vector of ker C, so Q contains the complement of
-the maximal support S (Goldman-Tucker).  A short chain of exact LPs finds
-~S: each infeasible step's Farkas multipliers name coordinates that vanish
-on every such vector, and they are pinned before the next step.  A real
-system solvable on Q stays solvable on every subset of Q, so the cell is
-nonempty iff the real system on ~S is solvable.  When it is not, the chain
-itself is the proof: its imaginary certificates and the real one on ~S, at
-most n + 1 in all, rule out every one of the 2^n branches together.
+The cell {C x = 0, C y = 0, each (x_j, y_j) in H} is nonempty iff ker C
+holds a strictly positive vector (Stiemke 1915).  A witness (x, y) gives
+x + t y in ker C, and it is > 0 for large t: the t term wins where y_j > 0,
+and H forces x_j > 0 where y_j = 0.  A v > 0 in ker C gives the witness
+(0, v).  So one exact LP, C y = 0 with y > 0, decides the cell, and its
+witness is an integer charge.  An infeasible LP's Farkas certificate has
+lambda >= 0, lambda != 0 and lambda = -mu C; lambda then vanishes on both
+parts of every charge in the cell, and so on x + t y > 0, which cannot be.
+That one certificate rules out all 2^n ways to put the charges on or above
+the real axis together.
 
 A heart's rows are the vertex functionals r rewritten on its simples: the X
 with X K = r, K the heart's K-matrix, from one unimodular solve and no
-inverse.  Hearts share much of this work.  Each LP sees only ker C, up to a
-positive scale, and its branch; so a `CellCache`, made for one graph and
-dropped with it, keeps each LP outcome under (n, the primitive kernel of C,
-branch, pinned set) and each classification under its rows.  Every heart
-still settles each outcome against its own rows: its witness is checked,
-and its certificates are built from its own equalities and verified.
+inverse.  Hearts share much of this work.  The LP sees only ker C, up to a
+positive scale; so a `CellCache`, made for one graph and dropped with it,
+keeps each LP outcome under (n, the primitive kernel of C) and each
+classification under its rows.  Every heart still settles each outcome
+against its own rows: its witness is checked, and its certificate is built
+from its own equalities and verified.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import InternalError
 from .hearts import Heart, heart_k_matrix, heart_label
-from .linalg import IntMatrix, int_identity, kernel_basis, pivot_columns, transpose, unimodular_solve
+from .linalg import IntMatrix, kernel_basis, pivot_columns, transpose, unimodular_solve
 from .quiver import Automorphism, ValuedQuiver
 from .ratlp import Infeasibility, Row, Witness, settle, solve_strict_system, verify_infeasibility
 from .reps import Catalog
@@ -59,11 +56,6 @@ def _solve_on_heart(catalog: Catalog, heart: Heart, rows, transposed: bool = Fal
         raise InternalError(
             f"K-matrix of heart {heart_label(catalog, heart)} is not unimodular: {exc}"
         ) from None
-
-
-def heart_basis_inverse(catalog: Catalog, heart: Heart) -> IntMatrix:
-    """Inverse of the heart's K-matrix, whose rows are the simples' classes."""
-    return _solve_on_heart(catalog, heart, int_identity(len(heart.simples)))
 
 
 def vertex_functionals_to_heart(catalog: Catalog, heart: Heart, rows) -> tuple[Row, ...]:
@@ -105,38 +97,18 @@ def f_constraints(catalog: Catalog, s: Automorphism, heart: Heart) -> tuple[Row,
     return vertex_functionals_to_heart(catalog, heart, f_constraint_rows(s))
 
 
-class BranchCertificate(NamedTuple):
-    real_axis: tuple[int, ...]  # coordinates pinned to the real axis
-    axis: str  # "im" or "re": which half of the branch is infeasible
-    certificate: Infeasibility
-
-
 class CellClassification(NamedTuple):
     feasible: bool
     witness: tuple[Complex, ...] | None
-    certificates: tuple[BranchCertificate, ...] | None
+    certificates: tuple[Infeasibility, ...] | None
 
 
 def _unit_row(n: int, j: int) -> Row:
     return tuple(1 if i == j else 0 for i in range(n))
 
 
-def _im_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
-    """(equalities, positives) of C y = 0, y_j = 0 on real_axis, y_j > 0 off it."""
-    eqs = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
-    return eqs, tuple(_unit_row(n, j) for j in range(n) if j not in real_axis)
-
-
-def _re_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
-    """(equalities, positives) of C x = 0, x_j > 0 on real_axis."""
-    return tuple(constraints), tuple(_unit_row(n, j) for j in real_axis)
-
-
-def _pinned_after(step: BranchCertificate, n: int) -> tuple[int, ...]:
-    """The step's pinned coordinates and every free one with a positive multiplier."""
-    free = (j for j in range(n) if j not in step.real_axis)
-    lam = step.certificate.positive_multipliers
-    return tuple(sorted({j for j, v in zip(free, lam) if v > 0}.union(step.real_axis)))
+def _unit_rows(n: int) -> tuple[Row, ...]:
+    return tuple(_unit_row(n, j) for j in range(n))
 
 
 class CellCache:
@@ -144,35 +116,28 @@ class CellCache:
 
     Make one per graph and drop it with the graph.  It keeps each whole
     classification under (rows, n), and each LP outcome (`ratlp.run_lp`)
-    under (n, kernel, axis, pinned).  The kernel is the primitive basis of
-    ker C: `kernel_basis` returns a positive multiple of the rational basis
-    that the row space alone fixes, and the outcome does not change under
-    that scale.  The LP's equalities are C and the pinned unit rows, so
-    hearts whose rows differ but span the same space share every outcome,
-    and each heart settles it against its own rows (`ratlp.settle`).
+    under (n, kernel).  The kernel is the primitive basis of ker C:
+    `kernel_basis` returns a positive multiple of the rational basis that
+    the row space alone fixes, and the outcome does not change under that
+    scale.  So hearts whose rows differ but span the same space share the
+    outcome, and each heart settles it against its own rows (`ratlp.settle`).
     """
 
     def __init__(self) -> None:
         self.cells: dict[tuple[tuple[Row, ...], int], CellClassification] = {}
         self.outcomes: dict[tuple, Witness | Row] = {}
 
-    def solver(self, constraints: tuple[Row, ...], n: int):
-        """The solve of `_chain` for these rows: an outcome is looked up, or found and kept."""
+    def solve(self, constraints: tuple[Row, ...], n: int) -> Witness | Infeasibility:
+        """C y = 0, y > 0: an outcome is looked up, or found and kept."""
         null = kernel_basis(constraints, n)
         g = gcd(*(x for v in null for x in v)) or 1
-        kernel = tuple(tuple(x // g for x in v) for v in null)
-
-        def solve(axis: str, pinned: tuple[int, ...], eqs, pos):
-            key = (n, kernel, axis, pinned)
-            outcome = self.outcomes.get(key)
-            if outcome is not None:
-                return settle(outcome, eqs, pos)
-            # ker C is the kernel of the real system and of the first imaginary one.
-            res = solve_strict_system(eqs, pos, n, None if axis == "im" and pinned else null)
-            self.outcomes[key] = res if isinstance(res, Witness) else res.positive_multipliers
-            return res
-
-        return solve
+        key = (n, tuple(tuple(x // g for x in v) for v in null))
+        outcome = self.outcomes.get(key)
+        if outcome is not None:
+            return settle(outcome, constraints, _unit_rows(n))
+        res = solve_strict_system(constraints, _unit_rows(n), n, null)
+        self.outcomes[key] = res if isinstance(res, Witness) else res.positive_multipliers
+        return res
 
 
 def classify_cell(
@@ -180,48 +145,27 @@ def classify_cell(
 ) -> CellClassification:
     """Decide whether the constrained cell meets H^n, with proof either way.
 
-    The chain starts with nothing pinned.  While the imaginary system is
-    infeasible, every free coordinate with a positive multiplier is pinned
-    and the system is solved again; the chain ends at ~S and costs at most
-    n + 1 solves.  One more solve, of the real system on ~S, decides the
-    cell.  A nonempty cell's witness lies on the branch ~S, the first branch
-    with both systems solvable in order of size, then lexicographic.  An
-    empty cell's certificates are the chain: one "im" certificate per
-    infeasible step, in order, then the "re" certificate on ~S.  Each step
-    pins at least one new coordinate, so there are at most n + 1.
-
-    With a cache (`CellCache`), rows classified before get the same
-    classification back, and an LP solved before for the same kernel is
-    only settled against these rows.  The answer is the same either way.
+    One LP, C y = 0 with y > 0, decides it.  A nonempty cell's witness is
+    (0, y_j) at each coordinate; an empty cell's proof is the one Farkas
+    certificate of that LP.  With a cache (`CellCache`), rows classified
+    before get the same classification back, and an LP solved before for
+    the same kernel is only settled against these rows.  The answer is the
+    same either way.
     """
     if not constraints:
         return CellClassification(True, ((0, 1),) * n, None)
     if cache is None:
-        def solve(axis, pinned, eqs, pos):
-            return solve_strict_system(eqs, pos, n)
-
-        return _chain(constraints, n, solve)
+        return _classification(solve_strict_system(constraints, _unit_rows(n), n))
     key = (constraints, n)
     if key not in cache.cells:
-        cache.cells[key] = _chain(constraints, n, cache.solver(constraints, n))
+        cache.cells[key] = _classification(cache.solve(constraints, n))
     return cache.cells[key]
 
 
-def _chain(constraints: tuple[Row, ...], n: int, solve) -> CellClassification:
-    """`classify_cell`'s chain, with solve(axis, pinned, equalities, positives) for each LP."""
-    pinned: tuple[int, ...] = ()
-    chain = []
-    while True:
-        y_res = solve("im", pinned, *_im_system(constraints, pinned, n))
-        if not isinstance(y_res, Infeasibility):
-            break
-        chain.append(BranchCertificate(pinned, "im", y_res))
-        pinned = _pinned_after(chain[-1], n)
-    x_res = solve("re", pinned, *_re_system(constraints, pinned, n))
-    if not isinstance(x_res, Infeasibility):
-        return CellClassification(True, tuple(zip(x_res.point, y_res.point)), None)
-    chain.append(BranchCertificate(pinned, "re", x_res))
-    return CellClassification(False, None, tuple(chain))
+def _classification(res: Witness | Infeasibility) -> CellClassification:
+    if isinstance(res, Infeasibility):
+        return CellClassification(False, None, (res,))
+    return CellClassification(True, tuple((0, y) for y in res.point), None)
 
 
 def in_half_plane(z: Complex) -> bool:
@@ -235,12 +179,7 @@ def verify_classification(
     """Recheck a classification from scratch, with no LP; callers audit with it.
 
     A witness is checked against the constraints and H.  An emptiness proof
-    must start from nothing pinned, be "im" steps then one "re", pin at each
-    link only what the previous step's positive multipliers allow, and carry
-    a valid Farkas certificate of a system with a positive row at each step.
-    That rules out every branch Q: the real certificate, zero-extended, does
-    if Q contains the last set; otherwise the last step whose set Q contains
-    has a positive multiplier off Q, and rules out Q's imaginary system.
+    must be one valid Farkas certificate of C y = 0, y > 0.
     """
     if cls.feasible:
         if cls.witness is None or len(cls.witness) != n:
@@ -253,20 +192,9 @@ def verify_classification(
             if sum(c * z[1] for c, z in zip(row, cls.witness)) != 0:
                 return False
         return True
-    chain = cls.certificates
-    if not chain or chain[0].real_axis != ():
+    if cls.certificates is None or len(cls.certificates) != 1:
         return False
-    if any(c.axis != "im" for c in chain[:-1]) or chain[-1].axis != "re":
-        return False
-    for step, nxt in zip(chain, chain[1:]):
-        if not set(nxt.real_axis).issubset(_pinned_after(step, n)):
-            return False
-    for c in chain:
-        system = _im_system if c.axis == "im" else _re_system
-        eqs, pos = system(constraints, c.real_axis, n)
-        if not pos or not verify_infeasibility(eqs, pos, c.certificate):
-            return False
-    return True
+    return verify_infeasibility(constraints, _unit_rows(n), cls.certificates[0])
 
 
 def slices_equal(rows_a, rows_b) -> bool:

@@ -236,7 +236,7 @@ def _classify_payload(a: Analysis, folded: bool, check: str | None) -> dict:
                 ]
         else:
             row["witness"] = None
-            # The chain proof rules out every one of the 2^n branches.
+            # The one Farkas certificate rules out all 2^n real-axis branches.
             row["branches"] = 2**n
         rows.append(row)
     feasible = sum(1 for r in rows if r["feasible"])

@@ -56,10 +56,6 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v, a):
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))) if a else ()
-
-
 def scaled_to_ints(row) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, and that lcm."""
     s = lcm(*(x.denominator for x in row))
@@ -193,11 +189,6 @@ def unimodular_solve(b: IntMatrix, k: IntMatrix) -> IntMatrix:
     if d not in (1, -1):
         raise ValueError(f"determinant {sign * d} is not +-1")
     return tuple(tuple(d * row[n + j] for row in rows) for j in range(len(k)))
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix of determinant +-1: X a = I, in integers."""
-    return unimodular_solve(a, int_identity(len(a)))
 
 
 def normalize_int_vector(v: Sequence[int]) -> IntVector:

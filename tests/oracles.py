@@ -9,26 +9,26 @@ breadth-first tilting, the folded exchange graph by trying every tilt
 order by hand, and Coxeter lengths, descents and the longest element by
 enumerating the Weyl group instead of sign tests on roots, and stability
 cells by solving both strict systems of every real-axis branch instead of
-one chain of LPs, and the simplex on a Fraction tableau instead of a
-fraction-free integer one, and braid normal forms by re-walking every pair
-of factors instead of walking left from the right end, and the rref,
-inverse and determinant by Gauss-Jordan in Fractions instead of the
-fraction-free `linalg.echelon`, and integer kernels by a Smith normal form
-instead of the primitive echelon kernel of the transpose.  A cell's chain
-proof is expanded into one certificate per branch, each checkable on its
-own.  Hearts are validated by Hom/Ext vanishing, read off the Euler
-table, and a Smith normal form, and the automorphism acts on K-classes as a
-permutation matrix.  `pairing` evaluates a form's integer matrix on two
-classes.
+one LP, and the simplex on a Fraction tableau instead of a fraction-free
+integer one, and braid normal forms by re-walking every pair of factors
+instead of walking left from the right end, and the rref, inverse and
+determinant by Gauss-Jordan in Fractions instead of the fraction-free
+`linalg.echelon`, and integer kernels by a Smith normal form instead of the
+primitive echelon kernel of the transpose.  An empty cell's one certificate
+is expanded into one per branch, each checkable on its own.  Hearts are
+validated by Hom/Ext vanishing, read off the Euler table, and a Smith
+normal form, and the automorphism acts on K-classes as a permutation
+matrix.  `pairing` evaluates a form's integer matrix on two classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from foldstab.braid import GarsideNF
-from foldstab.cells import BranchCertificate, CellClassification, _unit_row
+from foldstab.cells import CellClassification, _unit_row
 from foldstab.errors import InputError, InternalError, quote
 from foldstab.hearts import Heart, heart_k_matrix, make_heart, seed_heart
 from foldstab.linalg import IntMatrix, Matrix, int_identity, mat_mul, normalize_int_vector
@@ -554,56 +554,49 @@ def validate_heart(catalog: Catalog, heart: Heart) -> None:
         raise InputError("heart classes are not a lattice basis")
 
 
+class BranchCertificate(NamedTuple):
+    real_axis: tuple[int, ...]  # coordinates pinned to the real axis
+    axis: str  # "im" or "re": which half of the branch is infeasible
+    certificate: Infeasibility
+
+
 def _branches(n: int):
     """Every real-axis branch: subsets of range(n) by size, then lexicographic."""
     for size in range(n + 1):
         yield from combinations(range(n), size)
 
 
-def _branch_certificate(
-    real_axis: tuple[int, ...],
-    chain: tuple[BranchCertificate, ...],
-    m: int,
-    n: int,
-) -> BranchCertificate:
-    """Infeasibility of one branch, derived from a chain proof with no LP.
-
-    A branch containing the last set ~S inherits the real certificate of ~S,
-    its multipliers zero-extended.  Any other branch contains some chain
-    step P whose multipliers are positive somewhere off the branch: those
-    off the branch stay positive multipliers, those on it move to the
-    branch's unit rows, and the sum is scaled up to at least 1.
-    """
-    *steps, real = chain
-    q = set(real_axis)
-    if q.issuperset(real.real_axis):
-        x_cert = real.certificate
-        lam = dict(zip(real.real_axis, x_cert.positive_multipliers))
-        pos = tuple(lam.get(j, Fraction(0)) for j in real_axis)
-        return BranchCertificate(real_axis, "re", Infeasibility(pos, x_cert.equality_multipliers))
-    for step in steps:
-        p, cert = step.real_axis, step.certificate
-        if not q.issuperset(p):
-            continue
-        lam = dict(zip((j for j in range(n) if j not in p), cert.positive_multipliers))
-        pos = tuple(lam[j] for j in range(n) if j not in q)
-        total = sum(pos)
-        if total == 0:
-            continue
-        on_branch = {**lam, **dict(zip(p, cert.equality_multipliers[m:]))}
-        eq = cert.equality_multipliers[:m] + tuple(on_branch[j] for j in real_axis)
-        if total < 1:
-            pos, eq = tuple(v / total for v in pos), tuple(v / total for v in eq)
-        return BranchCertificate(real_axis, "im", Infeasibility(pos, eq))
-    raise InternalError(f"no chain step certifies branch {real_axis}")
+def _im_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
+    """(equalities, positives) of C y = 0, y_j = 0 on real_axis, y_j > 0 off it."""
+    eqs = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
+    return eqs, tuple(_unit_row(n, j) for j in range(n) if j not in real_axis)
 
 
-def expand_chain_proof(
-    chain: tuple[BranchCertificate, ...], m: int, n: int
-) -> tuple[BranchCertificate, ...]:
+def _re_system(constraints: tuple[Row, ...], real_axis: tuple[int, ...], n: int):
+    """(equalities, positives) of C x = 0, x_j > 0 on real_axis."""
+    return tuple(constraints), tuple(_unit_row(n, j) for j in real_axis)
+
+
+def expand_certificate(cert: Infeasibility, n: int) -> tuple[BranchCertificate, ...]:
     """The certificate of every branch, in `_branches` order, that an empty
-    cell's chain proof implies; m is the number of constraint rows."""
-    return tuple(_branch_certificate(q, chain, m, n) for q in _branches(n))
+    cell's one certificate (lambda, mu) of C y = 0, y > 0 implies, with no LP.
+
+    lambda + mu C = 0 and lambda >= 0.  Where lambda is positive off the
+    branch Q, its entries off Q are the positive multipliers of Q's
+    imaginary system, and (mu, lambda on Q) are the multipliers of its
+    equalities.  Otherwise lambda vanishes off Q, and (lambda on Q, mu)
+    certifies Q's real system.
+    """
+    lam, mu = cert
+    out = []
+    for q in _branches(n):
+        off = tuple(lam[j] for j in range(n) if j not in q)
+        on = tuple(lam[j] for j in q)
+        if any(off):
+            out.append(BranchCertificate(q, "im", Infeasibility(off, mu + on)))
+        else:
+            out.append(BranchCertificate(q, "re", Infeasibility(on, mu)))
+    return tuple(out)
 
 
 def branch_classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassification:
@@ -615,16 +608,11 @@ def branch_classify_cell(constraints: tuple[Row, ...], n: int) -> CellClassifica
     """
     certs = []
     for real_axis in _branches(n):
-        pinned = set(real_axis)
-        y_eq = tuple(constraints) + tuple(_unit_row(n, j) for j in real_axis)
-        y_pos = tuple(_unit_row(n, j) for j in range(n) if j not in pinned)
-        y_res = solve_strict_system(y_eq, y_pos, n)
+        y_res = solve_strict_system(*_im_system(constraints, real_axis, n), n)
         if isinstance(y_res, Infeasibility):
             certs.append(BranchCertificate(real_axis, "im", y_res))
             continue
-        x_eq = tuple(constraints)
-        x_pos = tuple(_unit_row(n, j) for j in real_axis)
-        x_res = solve_strict_system(x_eq, x_pos, n)
+        x_res = solve_strict_system(*_re_system(constraints, real_axis, n), n)
         if isinstance(x_res, Infeasibility):
             certs.append(BranchCertificate(real_axis, "re", x_res))
             continue

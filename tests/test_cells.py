@@ -12,10 +12,7 @@ from foldstab import cells
 from foldstab.cells import (
     CellCache,
     CellClassification,
-    _im_system,
-    _re_system,
     classify_cell,
-    heart_basis_inverse,
     f_constraint_rows,
     f_constraints,
     fold_charge,
@@ -34,12 +31,12 @@ from foldstab.hearts import (
     make_heart,
     seed_heart,
 )
-from foldstab.linalg import int_identity, integer_left_kernel, mat_mul
+from foldstab.linalg import int_identity, integer_left_kernel, mat_mul, unimodular_solve
 from foldstab.quiver import Automorphism, euler_form_cy3, fold
-from foldstab.ratlp import solve_strict_system, verify_infeasibility
+from foldstab.ratlp import Infeasibility, solve_strict_system, verify_infeasibility
 from foldstab.reps import Catalog
 from foldstab.specfile import parse_quiver
-from oracles import branch_classify_cell, expand_chain_proof
+from oracles import _im_system, _re_system, branch_classify_cell, expand_certificate
 from properties import seeded_dynkin_spec
 
 F = Fraction
@@ -100,14 +97,16 @@ def test_top_heart_infeasible_with_branch_certificates(cat_a3) -> None:
     cls = classify_cell(rows, 3)
     assert not cls.feasible
     assert cls.witness is None
-    # C = (1 1 1) kills no nonzero y >= 0, so one step pins every coordinate,
-    # and x1 + x2 + x3 = 0 has no solution with x > 0.
-    assert [(c.real_axis, c.axis) for c in cls.certificates] == [((), "im"), ((0, 1, 2), "re")]
+    # C = (1 1 1) kills no y > 0: lambda = (1, 1, 1) and mu = (-1,) prove it.
+    assert cls.certificates == (Infeasibility((1, 1, 1), (-1,)),)
     assert verify_classification(rows, cls, 3)
-    branches = expand_chain_proof(cls.certificates, len(rows), 3)
-    assert {c.real_axis for c in branches} == {
-        (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2),
-    }
+    # lambda is positive off every branch but the one with all three on the
+    # real axis, where x1 + x2 + x3 = 0 has no solution with x > 0.
+    branches = expand_certificate(cls.certificates[0], 3)
+    assert [(c.real_axis, c.axis) for c in branches] == [
+        ((), "im"), ((0,), "im"), ((1,), "im"), ((2,), "im"),
+        ((0, 1), "im"), ((0, 2), "im"), ((1, 2), "im"), ((0, 1, 2), "re"),
+    ]
 
 
 def test_feasible_witness_structure(cat_a3) -> None:
@@ -133,11 +132,13 @@ def test_fully_pinched_cell() -> None:
     rows = ((1, 0), (0, 1))
     cls = classify_cell(rows, 2)
     assert not cls.feasible
-    # n + 1 certificates: each step pins exactly one new coordinate.
-    assert [(c.real_axis, c.axis) for c in cls.certificates] == [
-        ((), "im"), ((0,), "im"), ((0, 1), "re"),
-    ]
+    # ker C = 0 holds no y > 0, and y_1 = 0 alone says so.
+    assert cls.certificates == (Infeasibility((1, 0), (-1, 0)),)
     assert verify_classification(rows, cls, 2)
+    branches = expand_certificate(cls.certificates[0], 2)
+    assert [(c.real_axis, c.axis) for c in branches] == [
+        ((), "im"), ((0,), "re"), ((1,), "im"), ((0, 1), "re"),
+    ]
 
 
 def test_verify_rejects_tampering(cat_a3) -> None:
@@ -168,10 +169,12 @@ def test_vertex_functionals_roundtrip(cat_a3) -> None:
 
 @pytest.mark.parametrize("name", ["cat_a3", "cat_d4", "cat_a5"])
 def test_heart_basis_inverse_on_every_heart(name, request) -> None:
+    """Every heart's K-matrix has an integral inverse: X K = I from one
+    unimodular solve."""
     catalog = request.getfixturevalue(name)
     n = len(catalog.quiver.vertices)
     for heart in build_interval_eg(catalog).hearts:
-        binv = heart_basis_inverse(catalog, heart)
+        binv = unimodular_solve(heart_k_matrix(catalog, heart), int_identity(n))
         assert all(type(x) is int for row in binv for x in row)
         assert mat_mul(binv, heart_k_matrix(catalog, heart)) == int_identity(n)
 
@@ -181,7 +184,7 @@ def test_heart_basis_inverse_rejects_a_non_basis(cat_a3, cat_d4) -> None:
     # root span a sublattice of index 2.
     singular = make_heart((cat_a3.by_dims[d], 0) for d in ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     with pytest.raises(InternalError, match="heart {.*} is not unimodular: matrix is singular"):
-        heart_basis_inverse(cat_a3, singular)
+        vertex_functionals_to_heart(cat_a3, singular, int_identity(3))
     top = max(cat_d4.roots, key=sum)
     leaves = [tuple(int(i == j) for j in range(4)) for i in range(4) if top[i] == 1]
     index_two = make_heart((cat_d4.by_dims[d], 0) for d in leaves + [top])
@@ -208,7 +211,7 @@ def test_charge_fold_unfold(q_a3, flip_a3) -> None:
     assert set(folded) == {(F(2), F(4)), (F(0), F(3))}
 
 
-# ---------------------------------------------------------------- the chain classifier
+# ---------------------------------------------------------------- one LP against the branch oracle
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 FIXTURES = ("a1_trivial", "a2_chain", "a3_flip", "a5_flip", "d4_swap", "d4_triality", "e6_fold")
@@ -262,7 +265,7 @@ def test_chain_agrees_with_branch_oracle(name, family) -> None:
         if (rows, n) not in oracle:
             expected = branch_classify_cell(rows, n)
             oracle[rows, n] = _shape(expected, expected.certificates)
-        branches = None if cls.feasible else expand_chain_proof(cls.certificates, len(rows), n)
+        branches = None if cls.feasible else expand_certificate(cls.certificates[0], n)
         assert _shape(cls, branches) == oracle[rows, n]
 
 
@@ -270,40 +273,33 @@ def test_chain_agrees_with_branch_oracle(name, family) -> None:
 def test_expanded_chain_proof_certifies_every_branch(name) -> None:
     for family in ("numerical", "f"):
         for rows, n, cls in _empty_cells(name, family):
-            branches = expand_chain_proof(cls.certificates, len(rows), n)
+            branches = expand_certificate(cls.certificates[0], n)
             assert len({c.real_axis for c in branches}) == len(branches) == 2**n
             for c in branches:
                 system = _im_system if c.axis == "im" else _re_system
                 assert verify_infeasibility(*system(rows, c.real_axis, n), c.certificate)
 
 
-def test_empty_cells_carry_at_most_n_plus_1_certificates() -> None:
+def test_empty_cells_carry_one_certificate() -> None:
     empty = [cell for name in FIXTURES for f in ("numerical", "f") for cell in _empty_cells(name, f)]
-    assert all(len(cls.certificates) <= n + 1 for _, n, cls in empty)
-    # Summed over the fixtures: 2^n branch certificates each would be 54,212.
     assert len(empty) == 1058
-    assert sum(len(cls.certificates) for _, _, cls in empty) == 2754
+    assert all(len(cls.certificates) == 1 for _, _, cls in empty)
+    # Each stands for 2^n branch certificates, 54,212 over the fixtures.
     assert sum(2**n for _, n, _ in empty) == 54212
 
 
-def _chain_mutants(chain: tuple, k: int):
-    """Tampered copies of a chain proof, named; k picks which λ to negate."""
-    i = k % len(chain)
-    lam = list(chain[i].certificate.positive_multipliers)
+def _certificate_mutants(certificates: tuple):
+    """Tampered copies of an emptiness proof, named."""
+    (cert,) = certificates
+    lam, mu = cert
     j = max(range(len(lam)), key=lam.__getitem__)
-    lam[j] = -lam[j]
-    negated = chain[i]._replace(
-        certificate=chain[i].certificate._replace(positive_multipliers=tuple(lam))
-    )
-    last = chain[-1]
-    yield "drop first", chain[1:]
-    if len(chain) > 2:
-        yield "drop middle", chain[:1] + chain[2:]
-    yield "drop last", chain[:-1]
-    yield "negate a multiplier", chain[:i] + (negated,) + chain[i + 1 :]
-    yield "shrink the real set", chain[:-1] + (last._replace(real_axis=last.real_axis[1:]),)
-    yield "relabel im as re", (chain[0]._replace(axis="re"),) + chain[1:]
-    yield "swap two steps", (chain[1], chain[0]) + chain[2:]
+    negated = lam[:j] + (-lam[j],) + lam[j + 1 :]
+    yield "negate a multiplier", (cert._replace(positive_multipliers=negated),)
+    yield "zero it", (Infeasibility((0,) * len(lam), (0,) * len(mu)),)
+    yield "drop an equality multiplier", (cert._replace(equality_multipliers=mu[:-1]),)
+    yield "truncate lambda", (cert._replace(positive_multipliers=lam[:-1]),)
+    yield "two certificates", (cert, cert)
+    yield "no certificate", ()
 
 
 @pytest.mark.parametrize("name,family", [("a3_flip", "numerical"), ("d4_swap", "numerical")])
@@ -311,12 +307,12 @@ def test_verify_rejects_tampered_branch_certificates(name, family) -> None:
     empty = _empty_cells(name, family)
     assert empty
     rejected = set()
-    for k, (rows, n, cls) in enumerate(empty):
+    for rows, n, cls in empty:
         assert verify_classification(rows, cls, n)
-        for mutant, tampered in _chain_mutants(cls.certificates, k):
+        for mutant, tampered in _certificate_mutants(cls.certificates):
             assert not verify_classification(rows, cls._replace(certificates=tampered), n), mutant
             rejected.add(mutant)
-    assert len(rejected) == (7 if name == "d4_swap" else 6)
+    assert len(rejected) == 6
 
 
 def test_audit_solves_no_lp(monkeypatch) -> None:
@@ -330,7 +326,7 @@ def test_audit_solves_no_lp(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("name,family", [("d4_swap", "numerical"), ("a5_flip", "f")])
-def test_chain_costs_at_most_n_plus_2_solves(name, family, monkeypatch) -> None:
+def test_classify_cell_costs_one_solve(name, family, monkeypatch) -> None:
     calls = []
 
     def counted(*args):
@@ -338,14 +334,10 @@ def test_chain_costs_at_most_n_plus_2_solves(name, family, monkeypatch) -> None:
         return solve_strict_system(*args)
 
     monkeypatch.setattr(cells, "solve_strict_system", counted)
-    costs = []
-    for rows, n in _cells(name, family):
+    for rows, n in [*_cells(name, family), ((), 4)]:
         calls.clear()
         classify_cell(rows, n)
-        assert len(calls) <= n + 2
-        costs.append(len(calls))
-    # two infeasible chain steps, the solvable imaginary system and the real one
-    assert max(costs) == 4
+        assert len(calls) == (1 if rows else 0)
 
 
 def test_unconstrained_cell_runs_no_lp(monkeypatch) -> None:
@@ -373,8 +365,7 @@ def test_witnesses_and_certificates_are_primitive_integer_vectors(name) -> None:
                 for part in zip(*cls.witness):
                     assert _is_int_vector(part) and gcd(*part) in (0, 1), (rows, part)
             else:
-                for step in cls.certificates:
-                    cert = step.certificate
+                for cert in cls.certificates:
                     lm = (*cert.positive_multipliers, *cert.equality_multipliers)
                     assert _is_int_vector(lm) and gcd(*lm) == 1, (rows, lm)
 

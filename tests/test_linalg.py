@@ -19,9 +19,7 @@ from foldstab.linalg import (
     scaled_to_ints,
     solve,
     transpose,
-    unimodular_inverse,
     unimodular_solve,
-    vec_mat,
 )
 from foldstab.quiver import euler_form_cy3
 from foldstab.specfile import parse_quiver
@@ -182,9 +180,9 @@ def test_integer_kernel_equals_the_smith_kernel(family, ranks) -> None:
             assert integer_left_kernel(form) == smith_left_kernel(form)
 
 
-def test_vec_mat_is_row_action() -> None:
+def test_row_action_and_transpose() -> None:
     a = mat([[1, 2], [3, 4]])
-    assert vec_mat((Fraction(1), Fraction(1)), a) == (Fraction(4), Fraction(6))
+    assert mat_mul(((Fraction(1), Fraction(1)),), a) == ((Fraction(4), Fraction(6)),)
     assert transpose(a) == mat([[1, 3], [2, 4]])
 
 
@@ -224,6 +222,7 @@ def test_normalize_int_vector() -> None:
 
 
 def test_unimodular_inverse_matches_rational_inverse() -> None:
+    """The unimodular inverse is `unimodular_solve` with k = I."""
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(1, 6)
@@ -237,7 +236,7 @@ def test_unimodular_inverse_matches_rational_inverse() -> None:
                 a[i] = [-x for x in a[i]]
         a = tuple(tuple(row) for row in a)
         assert abs(_int_det(a)) == 1
-        ainv = unimodular_inverse(a)
+        ainv = unimodular_solve(a, int_identity(n))
         assert all(type(x) is int for row in ainv for x in row)
         assert _int_mul(ainv, a) == int_identity(n)
         assert ainv == fraction_inverse(a)
@@ -245,7 +244,7 @@ def test_unimodular_inverse_matches_rational_inverse() -> None:
 
 def test_unimodular_inverse_needs_a_leading_row_swap() -> None:
     a = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
-    assert unimodular_inverse(a) == a
+    assert unimodular_solve(a, int_identity(3)) == a
 
 
 @pytest.mark.parametrize(
@@ -259,7 +258,7 @@ def test_unimodular_inverse_needs_a_leading_row_swap() -> None:
 )
 def test_unimodular_inverse_rejects_other_determinants(a, message) -> None:
     with pytest.raises(ValueError, match=message):
-        unimodular_inverse(a)
+        unimodular_solve(a, int_identity(len(a)))
 
 
 def test_unimodular_solve_matches_inverse_rows() -> None:
@@ -281,7 +280,7 @@ def test_unimodular_solve_matches_inverse_rows() -> None:
         k = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 3)))
         x = unimodular_solve(b, k)
         assert all(type(v) is int for row in x for v in row)
-        assert x == tuple(vec_mat(row, inverse(b)) for row in k)
+        assert x == mat_mul(k, inverse(b))
 
 
 @pytest.mark.parametrize(
@@ -299,5 +298,5 @@ def test_unimodular_solve_raises_the_inverse_errors(b, message) -> None:
             unimodular_solve(b, k)
         assert str(info.value) == message
     with pytest.raises(ValueError) as info:
-        unimodular_inverse(b)
+        unimodular_solve(b, int_identity(len(b)))
     assert str(info.value) == message

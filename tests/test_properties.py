@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from foldstab.cells import CellCache, classify_cell, f_constraints
 from foldstab.hearts import build_folded_eg, build_interval_eg, is_f_stable
 from foldstab.quiver import Automorphism, fold, valued_type_name
 from foldstab.reps import Catalog
@@ -94,8 +95,10 @@ def test_fold_census_has_every_fixed_orientation() -> None:
 
 
 def test_fold_census_counts_hearts_and_edges() -> None:
-    """Every census pair but the D7 and D8 ones, 52 in all."""
-    cases = 0
+    """Every census pair but the D7 and D8 ones, 52 in all.  On each heart
+    the F-cell is nonempty exactly when F fixes the heart, the paper's
+    Stab^F D(Gamma_Q) = Stab D(Gamma_S) read heart by heart."""
+    cases = hearts = 0
     for name, q, s in fold_census():
         if name in ("D7 swap", "D8 swap"):
             continue
@@ -107,8 +110,14 @@ def test_fold_census_counts_hearts_and_edges() -> None:
         assert len(eg.hearts) == q_hearts
         assert len(eg.edges) == q_rank * q_hearts // 2
         assert sum(is_f_stable(perm, h) for h in eg.hearts) == s_hearts
+        cache = CellCache()
+        for h in eg.hearts:
+            cls = classify_cell(f_constraints(catalog, s, h), len(h.simples), cache)
+            assert cls.feasible == is_f_stable(perm, h), (name, h)
+        hearts += len(eg.hearts)
         folded = build_folded_eg(catalog, perm)
         assert len(folded.hearts) == s_hearts
         assert len(folded.edges) == s_rank * s_hearts // 2
         cases += 1
     assert cases == 52
+    assert hearts == 31168

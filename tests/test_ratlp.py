@@ -194,7 +194,7 @@ def _assert_same_as_oracle(lps) -> None:
 
 def test_simplex_matches_fraction_oracle_on_cell_lps(monkeypatch) -> None:
     def classify_every_cell():
-        for name in ("a3_flip", "d4_swap", "d4_triality", "a5_flip"):
+        for name in ("a3_flip", "d4_swap", "d4_triality", "a5_flip", "e6_fold"):
             q, s = parse_quiver((SPECS / f"{name}.toml").read_text(encoding="utf-8"))
             catalog = Catalog(q)
             for heart in build_interval_eg(catalog).hearts:

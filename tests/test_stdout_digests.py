@@ -4,7 +4,7 @@ The digests are sha256 of the bytes each command writes, on every fixture
 and on three seeded quivers built here rather than in specs/, so the CLI
 fuzz test does not read them: an A7 with 1430 hearts, a D5 and an E7 with
 4160 hearts.  The fixture digests were taken when an empty cell's proof was
-still 2^n per-branch certificates, the A7 and D5 ones while the rational
+still 2^n per-branch certificates, not one, the A7 and D5 ones while the rational
 kernels came from a Fraction rref, the E7 one while the LP still built its
 witnesses in Fractions, and the `eg` ones (dot, and --fold json) while the
 tilts had separate forward and backward bodies and the folded graph its
